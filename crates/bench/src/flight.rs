@@ -4,7 +4,7 @@
 //! module traces the *harness* across the whole invocation: when each
 //! cell ran on which `--jobs` worker, where trace builds and
 //! simulations happened, every persistent-store load/store with its
-//! hit/miss outcome, and the shard workers' warmup/simulate occupancy.
+//! hit/miss outcome.
 //! The recording exports as one Chrome trace-event file
 //! (`run.flight.json`, the same document shape as the `--obs`
 //! `.trace.json` exports — load it in `chrome://tracing` or Perfetto)
@@ -135,29 +135,6 @@ pub fn instant(cat: &'static str, name: impl FnOnce() -> String) {
     push(rec, Rec { name: name(), cat, ts_us, dur_us: None, tid: TID.with(|t| *t) });
 }
 
-/// Records a completed span from explicit offsets — used to replay
-/// host schedules measured elsewhere (the shard workers' window
-/// timelines) into the recording. `begin` is an [`Instant`] on this
-/// process's clock; `start_offset`/`duration` are seconds.
-pub fn span_at(
-    cat: &'static str,
-    name: impl FnOnce() -> String,
-    begin: Instant,
-    start_offset_seconds: f64,
-    duration_seconds: f64,
-    tid_hint: u64,
-) {
-    let Some(rec) = recorder() else { return };
-    let base_us = begin.duration_since(rec.epoch).as_secs_f64() * 1e6;
-    push(rec, Rec {
-        name: name(),
-        cat,
-        ts_us: base_us + start_offset_seconds * 1e6,
-        dur_us: Some(duration_seconds * 1e6),
-        tid: tid_hint,
-    });
-}
-
 fn push(rec: &Recorder, r: Rec) {
     rec.recs.lock().unwrap().push(r);
 }
@@ -281,14 +258,12 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         instant("test", || "flight-test-instant".into());
-        span_at("test", || "flight-test-shard-window".into(), Instant::now(), 0.0, 0.001, 999);
         let json = export_json().expect("enabled recorder exports");
         assert!(json.contains("\"flight-test-span\""));
         assert!(json.contains("\"flight-test-instant\""));
-        assert!(json.contains("\"flight-test-shard-window\""));
         let doc = Json::parse(&json).expect("export parses");
         let events = doc.get("traceEvents").and_then(Json::as_array).expect("array");
-        assert!(events.len() >= 3);
+        assert!(events.len() >= 2);
         let span_evt = events
             .iter()
             .find(|e| e.get("name").and_then(Json::as_str) == Some("flight-test-span"))
@@ -304,7 +279,7 @@ mod tests {
         let path = dir.join("run.flight.json");
         write(&path).expect("writes");
         let n = validate_flight(&path).expect("validates");
-        assert!(n >= 3);
+        assert!(n >= 2);
         // A spanless document fails flight validation even though it is
         // a well-formed Chrome trace.
         let spanless = dir.join("spanless.flight.json");

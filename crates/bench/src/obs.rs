@@ -111,9 +111,7 @@ pub fn observe_request(
     settings: &ObsSettings,
 ) -> Result<Vec<String>, Error> {
     let (trace, _) = store.trace(req)?;
-    // Probed companions are always serial, so the cross-check reference
-    // must be the serial product even when the store shards fresh runs.
-    let expected = store.sim_serial(req, cfg)?;
+    let expected = store.sim(req, cfg)?;
     observe_trace(&trace, cfg, &expected.stats, target, settings)
 }
 

@@ -59,17 +59,6 @@ pub struct CellCost {
     pub prepass_seconds: f64,
     /// Seconds spent cluster-scheduling and packing traces.
     pub schedule_seconds: f64,
-    /// Most parallel time windows any of this cell's fresh simulations
-    /// ran under (0 = every simulation was serial).
-    pub shard_windows: u64,
-    /// Largest divergence bound reported by this cell's fresh sharded
-    /// simulations (see `mcl_core::shard::ShardReport::divergence`).
-    pub shard_divergence: f64,
-    /// Fresh sharded simulations that fell back to the serial run.
-    pub shard_fallbacks: u64,
-    /// Seconds spent in shard warmup scans (summed over windows, which
-    /// overlap across workers).
-    pub warmup_seconds: f64,
 }
 
 impl CellCost {
@@ -90,26 +79,15 @@ impl CellCost {
         self.il_build_seconds += other.il_build_seconds;
         self.prepass_seconds += other.prepass_seconds;
         self.schedule_seconds += other.schedule_seconds;
-        self.shard_windows = self.shard_windows.max(other.shard_windows);
-        self.shard_divergence = self.shard_divergence.max(other.shard_divergence);
-        self.shard_fallbacks += other.shard_fallbacks;
-        self.warmup_seconds += other.warmup_seconds;
     }
 
     /// Accumulates one store-served simulation: its cycles (routed to
     /// fresh or cached by whether the store actually simulated),
-    /// wall-time split, phase breakdown, and (for sharded runs) shard
-    /// telemetry.
+    /// wall-time split and phase breakdown.
     pub fn charge_sim(&mut self, product: &SimProduct) {
         if product.fresh {
             self.simulated_cycles += product.stats.cycles;
             self.ff.add(&product.ff);
-            if let Some(report) = &product.shard {
-                self.shard_windows = self.shard_windows.max(report.windows as u64);
-                self.shard_divergence = self.shard_divergence.max(report.divergence);
-                self.shard_fallbacks += u64::from(report.fell_back);
-                self.warmup_seconds += report.warmup_seconds;
-            }
         } else {
             self.cached_simulated_cycles += product.stats.cycles;
         }
@@ -206,16 +184,6 @@ pub struct CellMetric {
     pub prepass_seconds: f64,
     /// Seconds the cell spent cluster-scheduling and packing traces.
     pub schedule_seconds: f64,
-    /// Most parallel time windows any of the cell's fresh simulations
-    /// ran under (0 = all serial).
-    pub shard_windows: u64,
-    /// Largest divergence bound among the cell's fresh sharded
-    /// simulations.
-    pub shard_divergence: f64,
-    /// Fresh sharded simulations that fell back to serial.
-    pub shard_fallbacks: u64,
-    /// Seconds the cell spent in shard warmup scans.
-    pub warmup_seconds: f64,
 }
 
 impl CellMetric {
@@ -349,10 +317,6 @@ pub fn run_cells<R: Send>(
             il_build_seconds: cost.il_build_seconds,
             prepass_seconds: cost.prepass_seconds,
             schedule_seconds: cost.schedule_seconds,
-            shard_windows: cost.shard_windows,
-            shard_divergence: cost.shard_divergence,
-            shard_fallbacks: cost.shard_fallbacks,
-            warmup_seconds: cost.warmup_seconds,
         });
     }
     Ok((payloads, metrics))
@@ -403,10 +367,6 @@ pub fn run_cells_isolated<R: Send>(
             il_build_seconds: cost.il_build_seconds,
             prepass_seconds: cost.prepass_seconds,
             schedule_seconds: cost.schedule_seconds,
-            shard_windows: cost.shard_windows,
-            shard_divergence: cost.shard_divergence,
-            shard_fallbacks: cost.shard_fallbacks,
-            warmup_seconds: cost.warmup_seconds,
         });
     }
     (payloads, metrics)
@@ -432,11 +392,9 @@ pub fn run_cells_isolated<R: Send>(
 /// now count only cycles a cell actually simulated, with cache serves
 /// in the new `cached_simulated_cycles` fields — and added the
 /// event-engine dead-cycle counters (`skipped_cycles`, `ff_jumps`, and
-/// their `total_*` aggregates). Version 7 added time-window sharding:
-/// the top-level `shards` (the `--shards` request) and `sharding`
-/// aggregate (`max_windows`, `fallbacks`, `max_divergence`,
-/// `warmup_seconds`), per-cell `shard_windows` / `shard_divergence` /
-/// `shard_fallbacks` / `warmup_seconds`; and fixed throughput
+/// their `total_*` aggregates). Version 7 added the fields of the
+/// intra-run time-window mode (removed again in version 11), and fixed
+/// throughput
 /// reporting for cells that simulated nothing (fully cached or
 /// render-only): their `simulated_cycles_per_second` is now `null`
 /// instead of a misleading 0, and the aggregate
@@ -458,8 +416,12 @@ pub fn run_cells_isolated<R: Send>(
 /// (`dir` of the `*.konata` / `*.pipetrace.json` exports, `range` — the
 /// `--range` string or `null` for the full run — and `baseline` — the
 /// `--baseline` name or `null`; the whole object is `null` for every
-/// command except `repro pipetrace`).
-pub const REPORT_SCHEMA_VERSION: u64 = 10;
+/// command except `repro pipetrace`). Version 11 removed the
+/// time-window mode with its top-level request and aggregate object and
+/// its per-cell window count, divergence, fallback and `warmup_seconds`
+/// fields: cross-cell `--jobs` is the only parallelism, so every
+/// simulation is the serial one.
+pub const REPORT_SCHEMA_VERSION: u64 = 11;
 
 /// Identity and options of one driver run, recorded at the top of the
 /// report.
@@ -473,9 +435,6 @@ pub struct RunInfo {
     pub jobs: usize,
     /// The simulation engine the run used (`ticked` / `event`).
     pub engine: String,
-    /// Requested time-window shards per simulation (`--shards`; 0 is
-    /// normalized to 1, the serial path).
-    pub shards: usize,
     /// Wall-clock time of the whole run.
     pub total_wall_seconds: f64,
     /// Whether the run continued past failed cells (`--keep-going`).
@@ -523,10 +482,6 @@ pub fn report_json(info: &RunInfo, store: &StoreCounters, metrics: &[CellMetric]
         .filter(|m| m.simulated_cycles > 0)
         .map(|m| m.wall_seconds)
         .sum();
-    let max_windows: u64 = metrics.iter().map(|m| m.shard_windows).fold(0, u64::max);
-    let shard_fallbacks: u64 = metrics.iter().map(|m| m.shard_fallbacks).sum();
-    let max_divergence: f64 = metrics.iter().map(|m| m.shard_divergence).fold(0.0, f64::max);
-    let total_warmup: f64 = metrics.iter().map(|m| m.warmup_seconds).sum();
     let failed = metrics.iter().filter(|m| m.status != CellStatus::Ok).count();
     let obs_json = match &info.obs_dir {
         Some(dir) => {
@@ -601,7 +556,6 @@ pub fn report_json(info: &RunInfo, store: &StoreCounters, metrics: &[CellMetric]
         .field("divisor", u64::from(info.divisor).into())
         .field("jobs", (info.jobs as u64).into())
         .field("engine", info.engine.as_str().into())
-        .field("shards", (info.shards.max(1) as u64).into())
         .field("keep_going", info.keep_going.into())
         .field("watchdog_seconds", info.watchdog_seconds.map_or(Json::Null, Json::F64))
         .field("failed_cells", (failed as u64).into())
@@ -624,15 +578,6 @@ pub fn report_json(info: &RunInfo, store: &StoreCounters, metrics: &[CellMetric]
         .field("total_il_build_seconds", total_il.into())
         .field("total_prepass_seconds", total_prepass.into())
         .field("total_schedule_seconds", total_schedule.into())
-        .field("sharding", {
-            let mut sharding = Json::object();
-            sharding
-                .field("max_windows", max_windows.into())
-                .field("fallbacks", shard_fallbacks.into())
-                .field("max_divergence", max_divergence.into())
-                .field("warmup_seconds", total_warmup.into());
-            sharding
-        })
         .field("store", store_json)
         .field("obs", obs_json)
         .field("explain", explain_json)
@@ -663,11 +608,7 @@ pub fn report_json(info: &RunInfo, store: &StoreCounters, metrics: &[CellMetric]
                             .field("simulate_seconds", m.simulate_seconds.into())
                             .field("il_build_seconds", m.il_build_seconds.into())
                             .field("prepass_seconds", m.prepass_seconds.into())
-                            .field("schedule_seconds", m.schedule_seconds.into())
-                            .field("shard_windows", m.shard_windows.into())
-                            .field("shard_divergence", m.shard_divergence.into())
-                            .field("shard_fallbacks", m.shard_fallbacks.into())
-                            .field("warmup_seconds", m.warmup_seconds.into());
+                            .field("schedule_seconds", m.schedule_seconds.into());
                         cell
                     })
                     .collect(),
@@ -763,10 +704,6 @@ mod tests {
                 il_build_seconds: 0.125,
                 prepass_seconds: 0.25,
                 schedule_seconds: 0.0625,
-                shard_windows: 4,
-                shard_divergence: 0.0625,
-                shard_fallbacks: 0,
-                warmup_seconds: 0.25,
             },
             CellMetric {
                 id: "table2/broken".into(),
@@ -782,10 +719,6 @@ mod tests {
                 il_build_seconds: 0.0,
                 prepass_seconds: 0.0,
                 schedule_seconds: 0.0,
-                shard_windows: 0,
-                shard_divergence: 0.0,
-                shard_fallbacks: 0,
-                warmup_seconds: 0.0,
             },
         ];
         let counters = StoreCounters {
@@ -804,7 +737,6 @@ mod tests {
             divisor: 1,
             jobs: 8,
             engine: "event".into(),
-            shards: 4,
             total_wall_seconds: 2.5,
             keep_going: true,
             watchdog_seconds: Some(0.2),
@@ -819,10 +751,8 @@ mod tests {
             flight_path: None,
         };
         let json = report_json(&info, &counters, &metrics).render();
-        assert!(json.starts_with("{\"schema_version\":10,\"command\":\"table2\","));
-        assert!(json.contains("\"engine\":\"event\""));
-        assert!(json.contains("\"shards\":4"));
-        assert!(json.contains("\"keep_going\":true"));
+        assert!(json.starts_with("{\"schema_version\":11,\"command\":\"table2\","));
+        assert!(json.contains("\"engine\":\"event\",\"keep_going\":true,"));
         assert!(json.contains("\"watchdog_seconds\":0.200000"));
         assert!(json.contains("\"failed_cells\":1"));
         assert!(json.contains("\"total_simulated_cycles\":100"));
@@ -839,19 +769,11 @@ mod tests {
         assert!(json.contains("\"simulated_cycles_per_second\":50.000000"));
         // The cell that simulated nothing reports null, not 0.
         assert!(json.contains("\"simulated_cycles_per_second\":null"));
-        assert!(json.contains(
-            "\"sharding\":{\"max_windows\":4,\"fallbacks\":0,\
-             \"max_divergence\":0.062500,\"warmup_seconds\":0.250000}"
-        ));
-        assert!(json.contains(
-            "\"shard_windows\":4,\"shard_divergence\":0.062500,\
-             \"shard_fallbacks\":0,\"warmup_seconds\":0.250000"
-        ));
         assert!(json.contains("\"total_trace_build_seconds\":0.500000"));
         assert!(json.contains("\"total_simulate_seconds\":1.250000"));
         assert!(json.contains("\"total_il_build_seconds\":0.125000"));
         assert!(json.contains("\"total_prepass_seconds\":0.250000"));
-        assert!(json.contains("\"total_schedule_seconds\":0.062500"));
+        assert!(json.contains("\"total_schedule_seconds\":0.062500,\"store\":"));
         assert!(json.contains(
             "\"store\":{\"trace_hits\":3,\"trace_misses\":1,\"sim_hits\":2,\"sim_misses\":4,\
              \"disk_hits\":5,\"disk_misses\":2,\"disk_stores\":2,\"disk_evictions\":1,\
@@ -872,7 +794,7 @@ mod tests {
         ));
         assert!(json.contains("\"trace_build_seconds\":0.500000"));
         assert!(json.contains("\"simulate_seconds\":1.250000,\"il_build_seconds\":0.125000,\
-                               \"prepass_seconds\":0.250000,\"schedule_seconds\":0.062500"));
+                               \"prepass_seconds\":0.250000,\"schedule_seconds\":0.062500}"));
     }
 
     #[test]

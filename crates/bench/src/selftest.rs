@@ -184,13 +184,7 @@ pub fn jobs_agree(divisor: u32) -> Result<(String, CellCost), Error> {
 ///
 /// [`Error::SelfCheck`] naming the first unbalanced cell; harness
 /// errors propagate.
-///
-/// With `shards > 1` the store simulates each (long enough) trace as
-/// merged time windows, so this stage doubles as the proof that the
-/// identity is closed under the sharded merge: every window satisfies
-/// it, [`mcl_core::SimStats::absorb`] is field-wise addition, so the
-/// merged statistics must satisfy it too.
-pub fn stall_identity(divisor: u32, shards: usize) -> Result<(String, CellCost), Error> {
+pub fn stall_identity(divisor: u32) -> Result<(String, CellCost), Error> {
     let mut tiny = ProcessorConfig::dual_cluster_8way();
     tiny.operand_buffer = 1;
     tiny.result_buffer = 1;
@@ -199,7 +193,7 @@ pub fn stall_identity(divisor: u32, shards: usize) -> Result<(String, CellCost),
         ("dual", ProcessorConfig::dual_cluster_8way()),
         ("dual-tiny-buffers", tiny),
     ];
-    let store = TraceStore::new().with_shards(shards);
+    let store = TraceStore::new();
     let mut cost = CellCost::default();
     let mut cells = 0u32;
     for bench in Benchmark::ALL {
@@ -233,12 +227,7 @@ pub fn stall_identity(divisor: u32, shards: usize) -> Result<(String, CellCost),
 ///
 /// [`Error::SelfCheck`] naming the first unbalanced or diverging cell;
 /// harness errors propagate.
-///
-/// Probed runs are always serial (probes observe absolute cycles), so
-/// the bit-for-bit comparison is against the store's serial product
-/// ([`TraceStore::sim_serial`]) even when the stage runs with
-/// `shards > 1`.
-pub fn critpath_identity(divisor: u32, shards: usize) -> Result<(String, CellCost), Error> {
+pub fn critpath_identity(divisor: u32) -> Result<(String, CellCost), Error> {
     use mcl_core::CritPathProbe;
 
     let mut tiny = ProcessorConfig::dual_cluster_8way();
@@ -249,7 +238,7 @@ pub fn critpath_identity(divisor: u32, shards: usize) -> Result<(String, CellCos
         ("dual", ProcessorConfig::dual_cluster_8way()),
         ("dual-tiny-buffers", tiny),
     ];
-    let store = TraceStore::new().with_shards(shards);
+    let store = TraceStore::new();
     let mut cost = CellCost::default();
     let mut cells = 0u32;
     for bench in Benchmark::ALL {
@@ -262,7 +251,7 @@ pub fn critpath_identity(divisor: u32, shards: usize) -> Result<(String, CellCos
                         format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
                     )
                 };
-                let product = store.sim_serial(&req, cfg)?;
+                let product = store.sim(&req, cfg)?;
                 cost.charge_sim(&product);
                 let (trace, _) = store.trace(&req)?;
                 let mut probe = CritPathProbe::new();
@@ -304,13 +293,10 @@ pub fn critpath_identity(divisor: u32, shards: usize) -> Result<(String, CellCos
 /// [`Error::SelfCheck`] naming the first violating or diverging cell;
 /// harness errors propagate.
 ///
-/// Probed runs are always serial (probes observe absolute cycles), so
-/// the bit-for-bit comparison is against the store's serial product
-/// ([`TraceStore::sim_serial`]) even when the stage runs with
-/// `shards > 1`. The tiny-buffer preset forces replay exceptions
+/// The tiny-buffer preset forces replay exceptions
 /// through the probe, so flushed-incarnation bookkeeping is covered on
 /// every benchmark.
-pub fn pipetrace_identity(divisor: u32, shards: usize) -> Result<(String, CellCost), Error> {
+pub fn pipetrace_identity(divisor: u32) -> Result<(String, CellCost), Error> {
     use mcl_core::PipeTraceProbe;
 
     let mut tiny = ProcessorConfig::dual_cluster_8way();
@@ -321,7 +307,7 @@ pub fn pipetrace_identity(divisor: u32, shards: usize) -> Result<(String, CellCo
         ("dual", ProcessorConfig::dual_cluster_8way()),
         ("dual-tiny-buffers", tiny),
     ];
-    let store = TraceStore::new().with_shards(shards);
+    let store = TraceStore::new();
     let mut cost = CellCost::default();
     let mut cells = 0u32;
     for bench in Benchmark::ALL {
@@ -334,7 +320,7 @@ pub fn pipetrace_identity(divisor: u32, shards: usize) -> Result<(String, CellCo
                         format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
                     )
                 };
-                let product = store.sim_serial(&req, cfg)?;
+                let product = store.sim(&req, cfg)?;
                 cost.charge_sim(&product);
                 let (trace, _) = store.trace(&req)?;
                 let mut probe = PipeTraceProbe::new(0, u64::MAX);
@@ -369,12 +355,7 @@ pub fn pipetrace_identity(divisor: u32, shards: usize) -> Result<(String, CellCo
 ///
 /// [`Error::SelfCheck`] naming the first unbalanced or diverging cell;
 /// harness errors propagate.
-///
-/// Profiled runs are always serial (host phase costs are per-process),
-/// so the bit-for-bit comparison is against the store's serial product
-/// ([`TraceStore::sim_serial`]) even when the stage runs with
-/// `shards > 1`.
-pub fn hostprof_identity(divisor: u32, shards: usize) -> Result<(String, CellCost), Error> {
+pub fn hostprof_identity(divisor: u32) -> Result<(String, CellCost), Error> {
     let mut tiny = ProcessorConfig::dual_cluster_8way();
     tiny.operand_buffer = 1;
     tiny.result_buffer = 1;
@@ -383,7 +364,7 @@ pub fn hostprof_identity(divisor: u32, shards: usize) -> Result<(String, CellCos
         ("dual", ProcessorConfig::dual_cluster_8way()),
         ("dual-tiny-buffers", tiny),
     ];
-    let store = TraceStore::new().with_shards(shards);
+    let store = TraceStore::new();
     let mut cost = CellCost::default();
     let mut cells = 0u32;
     for bench in Benchmark::ALL {
@@ -396,7 +377,7 @@ pub fn hostprof_identity(divisor: u32, shards: usize) -> Result<(String, CellCos
                         format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
                     )
                 };
-                let product = store.sim_serial(&req, cfg)?;
+                let product = store.sim(&req, cfg)?;
                 cost.charge_sim(&product);
                 let (trace, _) = store.trace(&req)?;
                 let (profiled, report) =
@@ -729,28 +710,28 @@ mod tests {
 
     #[test]
     fn stall_identity_holds_at_a_coarse_scale() {
-        let (detail, cost) = stall_identity(64, 1).unwrap();
+        let (detail, cost) = stall_identity(64).unwrap();
         assert!(detail.contains("36 benchmark"), "{detail}");
         assert!(cost.simulated_cycles > 0);
     }
 
     #[test]
     fn critpath_identity_holds_at_a_coarse_scale() {
-        let (detail, cost) = critpath_identity(64, 1).unwrap();
+        let (detail, cost) = critpath_identity(64).unwrap();
         assert!(detail.contains("36 benchmark"), "{detail}");
         assert!(cost.simulated_cycles > 0);
     }
 
     #[test]
     fn pipetrace_identity_holds_at_a_coarse_scale() {
-        let (detail, cost) = pipetrace_identity(64, 1).unwrap();
+        let (detail, cost) = pipetrace_identity(64).unwrap();
         assert!(detail.contains("36 benchmark"), "{detail}");
         assert!(cost.simulated_cycles > 0);
     }
 
     #[test]
     fn hostprof_identity_holds_at_a_coarse_scale() {
-        let (detail, cost) = hostprof_identity(64, 1).unwrap();
+        let (detail, cost) = hostprof_identity(64).unwrap();
         assert!(detail.contains("36 benchmark"), "{detail}");
         assert!(cost.simulated_cycles > 0);
     }
@@ -759,13 +740,6 @@ mod tests {
     fn store_recovery_quarantines_and_recomputes() {
         let (detail, cost) = store_recovery(64).unwrap();
         assert!(detail.contains("quarantined"), "{detail}");
-        assert!(cost.simulated_cycles > 0);
-    }
-
-    #[test]
-    fn stall_identity_survives_the_sharded_merge() {
-        let (detail, cost) = stall_identity(64, 4).unwrap();
-        assert!(detail.contains("36 benchmark"), "{detail}");
         assert!(cost.simulated_cycles > 0);
     }
 }

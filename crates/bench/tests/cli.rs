@@ -1,7 +1,7 @@
-//! Command-line contract tests for the `repro` binary: malformed flags
-//! must fail fast with a usage error before any simulation starts, and
-//! the `pipetrace` subcommand must produce exports that its own
-//! validator (`repro obs-validate`) accepts.
+//! Command-line contract tests for the `repro` binary: malformed and
+//! unknown flags must fail fast with a usage error before any
+//! simulation starts, and the `pipetrace` subcommand must produce
+//! exports that its own validator (`repro obs-validate`) accepts.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -80,5 +80,24 @@ fn pipetrace_exports_pass_obs_validate() {
     );
     assert!(vout.contains("1 pipetrace export(s)"), "{vout}");
     assert!(vout.contains("1 Konata trace(s)"), "{vout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_flags_are_rejected_not_ignored() {
+    let dir = temp_dir("unknown-flag");
+    // A typo of a real flag, an invented flag, and the `=VALUE` form:
+    // each must fail before anything runs, naming the flag.
+    for (args, named) in [
+        (&["table1", "--job", "2"][..], "--job"),
+        (&["table1", "--bogus-flag", "3"][..], "--bogus-flag"),
+        (&["table2", "64", "--bogus=1"][..], "--bogus"),
+    ] {
+        let out = repro(&dir, args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("error: unknown flag {named}\n")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -80,18 +80,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Folds another run's counters into this one (every field is a pure
-    /// sum, so time-window shards merge by addition).
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.merged_misses += other.merged_misses;
-        self.evictions += other.evictions;
-    }
-}
-
-impl CacheStats {
     /// The miss rate counting both primary and merged misses.
     #[must_use]
     pub fn miss_rate(&self) -> f64 {
@@ -222,28 +210,6 @@ impl Cache {
             .position(|l| l.valid && l.tag == tag)
             .expect("record_repeat_hits requires a resident line");
         set[way].lru = stamp;
-    }
-
-    /// Functionally touches `addr`'s line: installs it (long filled,
-    /// `ready_at = 0`) if absent, refreshes its LRU stamp if present —
-    /// without recording statistics or an outstanding MSHR fill. This
-    /// is the warmup primitive of the time-window sharding engine
-    /// (`mcl_core::shard`): a shard replays the pre-window trace
-    /// through `warm` so its window starts with the cache *contents*
-    /// the serial run would have, while the window's own statistics
-    /// start from zero.
-    pub fn warm(&mut self, addr: u64) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
-            set[way].lru = stamp;
-            set[way].ready_at = 0;
-            return;
-        }
-        let victim = (0..set.len()).min_by_key(|&w| set[w].lru).expect("assoc > 0");
-        set[victim] = Line { tag, valid: true, ready_at: 0, lru: stamp };
     }
 
     /// Whether `addr`'s line is present and filled at cycle `now`,
@@ -420,31 +386,6 @@ mod tests {
         for addr in [0x100u64, 0x180, 0x200] {
             assert_eq!(a.probe(addr, 100), b.probe(addr, 100), "addr {addr:#x}");
         }
-    }
-
-    #[test]
-    fn warm_installs_contents_without_stats() {
-        let mut warmed = small_cache();
-        // Replay a short access history functionally...
-        for addr in [0x000u64, 0x080, 0x100, 0x000] {
-            warmed.warm(addr);
-        }
-        assert_eq!(warmed.stats(), CacheStats::default());
-        // ...and the contents must match a real run observed after all
-        // fills have completed: same residency, same LRU victim choice.
-        let mut real = small_cache();
-        for (i, addr) in [0x000u64, 0x080, 0x100, 0x000].iter().enumerate() {
-            real.access(*addr, 1000 + 100 * i as u64, false);
-        }
-        for addr in [0x000u64, 0x080, 0x100, 0x180] {
-            assert_eq!(warmed.probe(addr, 2000), real.probe(addr, 2000), "addr {addr:#x}");
-        }
-        // Next eviction picks the same victim in both (0x100 is the LRU
-        // resident line of the set after the replay above).
-        warmed.warm(0x180);
-        real.access(0x180, 3000, false);
-        assert!(!warmed.probe(0x100, 4000));
-        assert_eq!(warmed.probe(0x100, 4000), real.probe(0x100, 4000));
     }
 
     #[test]

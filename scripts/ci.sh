@@ -33,6 +33,18 @@ test -s "$smoke_dir/BENCH_repro.json" || {
     exit 1
 }
 
+echo "== guard: committed report schema matches the binary =="
+# The committed BENCH_repro.json documents the report format; it must be
+# regenerated whenever REPORT_SCHEMA_VERSION moves.
+emitted_schema="$(grep -o '"schema_version":[0-9]*' "$smoke_dir/BENCH_repro.json" | head -1 | cut -d: -f2)"
+committed_schema="$(grep -o '"schema_version":[0-9]*' BENCH_repro.json | head -1 | cut -d: -f2)"
+if [ -z "$emitted_schema" ] || [ "$emitted_schema" != "$committed_schema" ]; then
+    echo "FAIL: committed BENCH_repro.json is schema ${committed_schema:-?}, the binary emits ${emitted_schema:-?};" \
+        "regenerate it with \`target/release/repro all\` at the repo root" >&2
+    exit 1
+fi
+echo "schema OK: ${emitted_schema}"
+
 echo "== smoke: invariant checker does not change results =="
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 4 > table2_plain.txt)
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 4 --check retire > table2_checked.txt)
@@ -129,19 +141,6 @@ fi
 echo "== smoke: selftest under the event engine =="
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" selftest 8 --jobs 2 --engine event)
 
-echo "== smoke: sharded execution =="
-# `--shards 1` is the exact serial path: byte-identical output. Higher
-# shard counts are divergence-bounded (checked below via the bench's
-# reported max divergence) and the selftest differential must pass
-# under them.
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 > all_serial_ref.txt)
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 --shards 1 > all_shards1.txt)
-if ! diff -q "$smoke_dir/all_serial_ref.txt" "$smoke_dir/all_shards1.txt"; then
-    echo "FAIL: --shards 1 changed repro all output" >&2
-    exit 1
-fi
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" selftest 8 --jobs 2 --shards 4)
-
 echo "== smoke: host flight recorder =="
 # The recorder must be a pure observer: rendered output byte-identical
 # with recording on, under both engines, and the recording itself must
@@ -149,7 +148,7 @@ echo "== smoke: host flight recorder =="
 # events, finite timestamps).
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 \
     --flight run.flight.json > all_flight.txt 2> flight.err)
-if ! diff -q "$smoke_dir/all_serial_ref.txt" "$smoke_dir/all_flight.txt"; then
+if ! diff -q "$smoke_dir/all_event.txt" "$smoke_dir/all_flight.txt"; then
     echo "FAIL: --flight changed repro all output" >&2
     exit 1
 fi
@@ -342,35 +341,6 @@ append_history() {
     printf '%s\n' "$line" | target/release/repro history-append BENCH_repro.history.jsonl
 }
 append_history "$smoke_dir/bench.txt"
-
-echo "== guard: sharded-path throughput and divergence =="
-# The same bench with `--shards 4`: the divergence bound must hold (the
-# run reports the max across workloads; above the bound the engine
-# falls back to serial, so a healthy report stays under it), and the
-# sharded/event wall-clock ratio gets a catastrophic-regression floor.
-# On single-core CI hosts sharding cannot beat serial (the workers time
-# slice), so the default floor only catches the sharded path becoming
-# pathologically slow; raise MCL_SHARD_GUARD_RATIO on multi-core hosts.
-shard_ratio_floor="${MCL_SHARD_GUARD_RATIO:-0.45}"
-shard_divergence_cap="${MCL_SHARD_GUARD_DIVERGENCE:-0.02}"
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" bench 8 --shards 4 > bench_sharded.txt)
-cat "$smoke_dir/bench_sharded.txt"
-shard_ratio="$(grep -o 'sharded/event = [0-9.]*' "$smoke_dir/bench_sharded.txt" | grep -o '[0-9.]*$')"
-shard_div="$(grep -o 'max divergence [0-9.]*' "$smoke_dir/bench_sharded.txt" | grep -o '[0-9.]*$')"
-if [ -z "$shard_ratio" ] || [ -z "$shard_div" ]; then
-    echo "FAIL: could not parse the sharded bench summary line" >&2
-    exit 1
-fi
-if ! awk -v d="$shard_div" -v c="$shard_divergence_cap" 'BEGIN { exit !(d <= c) }'; then
-    echo "FAIL: sharded max divergence ${shard_div} above cap ${shard_divergence_cap}" >&2
-    exit 1
-fi
-if ! awk -v r="$shard_ratio" -v f="$shard_ratio_floor" 'BEGIN { exit !(r >= f) }'; then
-    echo "FAIL: sharded/event throughput ratio ${shard_ratio} below floor ${shard_ratio_floor}" >&2
-    exit 1
-fi
-echo "shard guard OK: ratio ${shard_ratio} (floor ${shard_ratio_floor}), divergence ${shard_div} (cap ${shard_divergence_cap})"
-append_history "$smoke_dir/bench_sharded.txt"
 
 echo "== trend: perf trajectory (soft gate) =="
 # Noise-banded regression analysis over the history just appended to,
