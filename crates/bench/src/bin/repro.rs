@@ -19,12 +19,9 @@
 //! repro explain [divisor]     critical-path cycle-loss attribution
 //! repro pipetrace [divisor]   per-instruction lifecycle trace (Konata + JSON)
 //! repro profile [divisor]     engine phase-cost host profile (ns/cycle)
-//! repro bench [divisor]       ticked-vs-event engine microbenchmark
 //! repro chaos                  fault-injection chaos campaign
-//! repro trend [file] [--gate]  perf-trend analysis of the bench history
-//! repro all [divisor]         everything above (except selftest/explain/bench/chaos)
+//! repro all [divisor]         everything above (except selftest/explain/chaos)
 //! repro obs-validate <dir>     validate a directory of exports
-//! repro history-append <file>  validated append of a history line (stdin)
 //! ```
 //!
 //! Every subcommand (except `pipeline`) expands into independent
@@ -45,10 +42,6 @@
 //! - `--check LEVEL` — run every simulation with the architectural
 //!   invariant checker at `off`, `retire`, or `cycle` level
 //!   (see `mcl_core::check`).
-//! - `--engine ENGINE` — run every simulation on the `ticked` or the
-//!   `event` engine (default `event`; see `mcl_core::config::Engine`).
-//!   The engines produce byte-identical results; the event engine
-//!   fast-forwards across dead cycles and is several times faster.
 //! - `--watchdog SECS` — each cell's simulations run under a hard
 //!   cooperative deadline: a cell whose simulation exceeds the budget is
 //!   cancelled with a structured timeout error and the run exits
@@ -117,12 +110,10 @@
 //!   each aligned op's retire-to-retire gap), ranked by contribution;
 //!   the slips telescope exactly to the total retire-cycle drift.
 //!
-//! Profiling flags (see `mcl_bench::profile`, `mcl_bench::flight`, and
-//! `mcl_bench::trend`):
+//! Profiling flags (see `mcl_bench::profile` and `mcl_bench::flight`):
 //!
 //! - `repro profile [divisor]` — for every benchmark, rerun the
-//!   dual-cluster/local Table 2 cell on the event engine with the host
-//!   phase profiler, write `<bench>.hostprof.json` (into `--obs
+//!   dual-cluster/local Table 2 cell with the host phase profiler, write `<bench>.hostprof.json` (into `--obs
 //!   OUT_DIR`, or `hostprof_out` by default), and print the ranked
 //!   host-ns-per-live-cycle phase breakdown. The sum-to-elapsed
 //!   identity (phase nanoseconds telescope to the sampled span, within
@@ -134,12 +125,6 @@
 //!   one relaxed atomic load per site, and the recording never
 //!   alters results — `repro` output is byte-identical with the flag
 //!   on or off.
-//! - `repro trend [FILE] [--gate]` — parse the appended bench history
-//!   (`BENCH_repro.history.jsonl` by default, mixed schema versions
-//!   tolerated), compare the latest run against the per-group baseline
-//!   with noise-banded thresholds, and print a ranked per-metric
-//!   report. `--gate` exits nonzero when any metric regressed beyond
-//!   its noise band.
 
 use std::ops::Range;
 use std::path::PathBuf;
@@ -161,158 +146,24 @@ use mcl_workloads::Benchmark;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = match take_jobs_flag(&mut args) {
-        Ok(jobs) => jobs.unwrap_or_else(runner::default_jobs),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let keep_going = take_switch(&mut args, "--keep-going");
-    let check_level = match take_value_flag(&mut args, "--check") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let watchdog = match take_value_flag(&mut args, "--watchdog") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let Flags { jobs, check_level, store_dir, baseline, range, out_dir, mut options } =
+        match parse_flags(&mut args) {
+            Ok(flags) => flags,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
     if let Some(level) = check_level {
-        match level.parse::<CheckLevel>() {
-            // Configuration presets built anywhere below (including deep
-            // inside experiment cells) read this process-wide default.
-            Ok(level) => mcl_core::check::set_global_level(level),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        // Configuration presets built anywhere below (including deep
+        // inside experiment cells) read this process-wide default.
+        mcl_core::check::set_global_level(level);
     }
-    match take_value_flag(&mut args, "--engine") {
-        Ok(None) => {}
-        Ok(Some(v)) => match v.parse::<mcl_core::Engine>() {
-            // Like --check: presets built anywhere below read this
-            // process-wide default.
-            Ok(engine) => mcl_core::set_global_engine(engine),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let watchdog_seconds = match watchdog {
-        None => None,
-        Some(v) => match v.parse::<f64>() {
-            Ok(secs) if secs > 0.0 => Some(secs),
-            _ => {
-                eprintln!("error: invalid --watchdog value `{v}`");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let store_dir = match take_value_flag(&mut args, "--store") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let obs_dir = match take_value_flag(&mut args, "--obs") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let sample_interval = match take_value_flag(&mut args, "--sample-interval") {
-        Ok(None) => 1024,
-        Ok(Some(v)) => match v.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("error: invalid --sample-interval value `{v}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match take_value_flag(&mut args, "--baseline") {
-        Ok(None) => None,
-        Ok(Some(v)) => match Baseline::parse(&v) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let range = match take_value_flag(&mut args, "--range") {
-        Ok(None) => None,
-        Ok(Some(v)) => match mcl_bench::pipetrace::parse_range(&v) {
-            Ok(r) => Some((v, r)),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out_dir = match take_value_flag(&mut args, "--out") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let flight_path = match take_value_flag(&mut args, "--flight") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let gate = take_switch(&mut args, "--gate");
-    // Every flag has been taken by now: anything flag-shaped left over
-    // is a typo or a flag this binary does not have.
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        eprintln!("error: unknown flag {}", flag.split('=').next().unwrap_or(flag));
-        return ExitCode::FAILURE;
-    }
-    if flight_path.is_some() {
+    if options.flight.is_some() {
         // Turn the recorder on before any cell, trace build, or store
         // access so the recording covers the whole invocation.
         mcl_bench::flight::enable();
     }
-    let obs_settings =
-        obs_dir.map(|dir| ObsSettings { dir: PathBuf::from(dir), sample_interval });
-    let mut options = RunOptions {
-        keep_going,
-        watchdog_seconds,
-        obs: obs_settings,
-        explain: None,
-        profile: None,
-        pipetrace: None,
-        flight: flight_path,
-    };
     let cmd = args.first().cloned().unwrap_or_else(|| "all".to_owned());
     let divisor: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
 
@@ -326,37 +177,11 @@ fn main() -> ExitCode {
         };
     }
 
-    if cmd == "bench" {
-        return match mcl_bench::microbench::run(divisor) {
-            Ok(rows) => {
-                print!("{}", mcl_bench::microbench::render(&rows, divisor));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     if cmd == "chaos" {
-        let budget = watchdog_seconds.unwrap_or(mcl_bench::chaos::DEFAULT_WATCHDOG_SECONDS);
+        let budget = options.watchdog_seconds.unwrap_or(mcl_bench::chaos::DEFAULT_WATCHDOG_SECONDS);
         let report = mcl_bench::chaos::run(jobs, budget);
         print!("{}", mcl_bench::chaos::render(&report));
         return if report.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-
-    if cmd == "trend" {
-        let path = args.get(1).map_or("BENCH_repro.history.jsonl", String::as_str);
-        return run_trend(std::path::Path::new(path), gate);
-    }
-
-    if cmd == "history-append" {
-        let Some(path) = args.get(1) else {
-            eprintln!("error: history-append requires a history file path");
-            return ExitCode::FAILURE;
-        };
-        return run_history_append(std::path::Path::new(path));
     }
 
     if cmd == "obs-validate" {
@@ -476,104 +301,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// `repro history-append <file>`: reads one candidate history line from
-/// stdin, validates it against the existing file
-/// ([`mcl_bench::microbench::validate_history_line`]), and appends only
-/// well-formed, schema-current, non-duplicate lines. Skips warn on
-/// stderr but exit 0 — a benign rerun must not fail CI; only I/O errors
-/// are fatal.
-fn run_history_append(path: &std::path::Path) -> ExitCode {
-    use std::io::Read as _;
-
-    use mcl_bench::microbench::{malformed_history_lines, validate_history_line, HistoryVerdict};
-
-    let mut candidate = String::new();
-    if let Err(e) = std::io::stdin().read_to_string(&mut candidate) {
-        eprintln!("error: history-append: reading stdin: {e}");
-        return ExitCode::FAILURE;
-    }
-    let candidate = candidate.trim();
-    if candidate.is_empty() {
-        eprintln!("error: history-append: no candidate line on stdin");
-        return ExitCode::FAILURE;
-    }
-    let existing = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => {
-            eprintln!("error: history-append: reading {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    for (line, why) in malformed_history_lines(&existing) {
-        eprintln!("warning: history-append: {} line {line}: {why}", path.display());
-    }
-    match validate_history_line(&existing, candidate) {
-        HistoryVerdict::Append => {
-            // Append-only: existing lines are never rewritten, so a
-            // crash mid-append can at worst leave one torn trailing
-            // line — which the next run's validation pass reports.
-            use std::io::Write as _;
-            let result = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| {
-                    let newline = if existing.is_empty() || existing.ends_with('\n') {
-                        ""
-                    } else {
-                        "\n"
-                    };
-                    writeln!(f, "{newline}{candidate}")
-                });
-            if let Err(e) = result {
-                eprintln!("error: history-append: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("history-append: appended to {}", path.display());
-            ExitCode::SUCCESS
-        }
-        HistoryVerdict::Skip(why) => {
-            eprintln!("warning: history-append: skipped line ({why})");
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-/// `repro trend [FILE] [--gate]`: analyzes the appended bench history
-/// ([`mcl_bench::trend`]) and prints the per-group, per-metric report.
-/// Unreadable files, empty histories, and all-garbage histories are
-/// hard errors — a gate that silently passes on a missing history
-/// guards nothing. With `gate`, regressions beyond the noise band fail
-/// the exit code too.
-fn run_trend(path: &std::path::Path, gate: bool) -> ExitCode {
-    let history = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: trend: reading {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    match mcl_bench::trend::analyze(&history) {
-        Ok(report) => {
-            print!("{}", mcl_bench::trend::render(&report));
-            let regressions = report.regressions();
-            if gate && regressions > 0 {
-                eprintln!(
-                    "error: trend --gate: {regressions} metric(s) regressed beyond the noise band"
-                );
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("error: trend: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// Driver-level robustness and observability options.
 #[derive(Clone, Default)]
 struct RunOptions {
@@ -592,6 +319,66 @@ struct RunOptions {
     /// `--flight FILE` target, recorded in `BENCH_repro.json`; the
     /// recording is written there after every cell has finished.
     flight: Option<String>,
+}
+
+/// The command-line flags, parsed and validated. What [`parse_flags`]
+/// leaves in the argument list is the subcommand and its positionals.
+struct Flags {
+    jobs: usize,
+    check_level: Option<CheckLevel>,
+    store_dir: Option<String>,
+    baseline: Option<Baseline>,
+    range: Option<(String, (u64, u64))>,
+    out_dir: Option<String>,
+    /// `--keep-going`, `--watchdog`, `--obs`/`--sample-interval` and
+    /// `--flight`; the per-command fields stay unset.
+    options: RunOptions,
+}
+
+/// Takes every flag out of `args`, failing on the first malformed or
+/// unknown one before anything runs.
+fn parse_flags(args: &mut Vec<String>) -> Result<Flags, String> {
+    let jobs = take_jobs_flag(args)?.unwrap_or_else(runner::default_jobs);
+    let keep_going = take_switch(args, "--keep-going");
+    let check_level = take_value_flag(args, "--check")?;
+    let watchdog = take_value_flag(args, "--watchdog")?;
+    let check_level = check_level.map(|v| v.parse::<CheckLevel>()).transpose()?;
+    let watchdog_seconds = watchdog
+        .map(|v| match v.parse::<f64>() {
+            Ok(secs) if secs > 0.0 => Ok(secs),
+            _ => Err(format!("invalid --watchdog value `{v}`")),
+        })
+        .transpose()?;
+    let store_dir = take_value_flag(args, "--store")?;
+    let obs_dir = take_value_flag(args, "--obs")?;
+    let sample_interval = match take_value_flag(args, "--sample-interval")? {
+        None => 1024,
+        Some(v) => match v.parse::<u64>() {
+            Ok(n) if n > 0 => n,
+            _ => return Err(format!("invalid --sample-interval value `{v}`")),
+        },
+    };
+    let baseline = take_value_flag(args, "--baseline")?.map(|v| Baseline::parse(&v)).transpose()?;
+    let range = take_value_flag(args, "--range")?
+        .map(|v| mcl_bench::pipetrace::parse_range(&v).map(|r| (v, r)))
+        .transpose()?;
+    let out_dir = take_value_flag(args, "--out")?;
+    let flight = take_value_flag(args, "--flight")?;
+    // Every flag has been taken by now: anything flag-shaped left over
+    // is a typo or a flag this binary does not have.
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag {}", flag.split('=').next().unwrap_or(flag)));
+    }
+    let obs = obs_dir.map(|dir| ObsSettings { dir: PathBuf::from(dir), sample_interval });
+    Ok(Flags {
+        jobs,
+        check_level,
+        store_dir,
+        baseline,
+        range,
+        out_dir,
+        options: RunOptions { keep_going, watchdog_seconds, obs, flight, ..RunOptions::default() },
+    })
 }
 
 /// Extracts `--jobs N` / `--jobs=N` from the argument list.
@@ -788,7 +575,6 @@ impl Plan {
             command: command.to_owned(),
             divisor,
             jobs,
-            engine: mcl_core::global_engine().name().to_owned(),
             total_wall_seconds: start.elapsed().as_secs_f64(),
             keep_going: options.keep_going,
             watchdog_seconds: options.watchdog_seconds,
@@ -1320,7 +1106,7 @@ fn plan_pipetrace(
 }
 
 /// Adds one profile cell per benchmark: the host phase-cost profile of
-/// the dual-cluster/local run on the event engine, exporting
+/// the dual-cluster/local run, fast-forward included, exporting
 /// `<bench>.hostprof.json` into `dir`.
 fn plan_profile(
     plan: &mut Plan,

@@ -9,8 +9,7 @@
 //! statistics that differ from the clean run (a "leak into stats",
 //! which would poison every downstream table).
 //!
-//! The campaign sweeps a matrix of
-//! `fault × workload × engine × check level`:
+//! The campaign sweeps a matrix of `fault × workload × check level`:
 //!
 //! - **Workloads** are crafted so each fault is guaranteed to *trigger*
 //!   (a dropped completion needs multi-cycle latencies in flight, a
@@ -22,9 +21,9 @@
 //!   progress monitor at any level (including `off`); accounting faults
 //!   need the invariant checker (`retire` or `cycle`); the dropped
 //!   completion is only visible to the cycle-granular liveness rule.
-//! - **Engines**: every case runs on both the ticked and the
-//!   event-driven engine — fault handling must not depend on
-//!   fast-forward behaviour.
+//!   Cycle-level checking single-steps, while `off` and `retire` cases
+//!   fast-forward dead cycles, so fault handling is exercised on both
+//!   paths of the one engine.
 //!
 //! Each cell first runs its workload *clean* (same configuration, no
 //! fault) to establish baseline statistics, then injected. A run
@@ -38,7 +37,7 @@ use std::fmt;
 use std::time::Duration;
 
 use mcl_core::check::{CheckLevel, FaultInjection};
-use mcl_core::{Engine, Processor, ProcessorConfig, SimError, SimStats};
+use mcl_core::{Processor, ProcessorConfig, SimError, SimStats};
 use mcl_isa::assign::RegisterAssignment;
 use mcl_isa::ArchReg;
 use mcl_sched::SchedulerKind;
@@ -174,34 +173,23 @@ enum Expect {
     Wedged,
 }
 
-/// One campaign cell: a fault injected into a workload on an engine at
-/// a check level, with its expected structured detection.
+/// One campaign cell: a fault injected into a workload at a check
+/// level, with its expected structured detection.
 #[derive(Debug, Clone)]
 struct Case {
     fault: FaultInjection,
     workload: Workload,
-    engine: Engine,
     level: CheckLevel,
     expect: Expect,
 }
 
 impl Case {
     fn id(&self) -> String {
-        format!(
-            "chaos/{}/{}/{}/{}",
-            self.fault.name(),
-            self.workload.name(),
-            self.engine.name(),
-            level_name(self.level)
-        )
+        format!("chaos/{}/{}/{}", self.fault.name(), self.workload.name(), level_name(self.level))
     }
 
     fn config(&self, with_fault: bool) -> ProcessorConfig {
-        let mut cfg = self
-            .workload
-            .config()
-            .with_engine(self.engine)
-            .with_check_level(self.level);
+        let mut cfg = self.workload.config().with_check_level(self.level);
         cfg.wedge_threshold = WEDGE_THRESHOLD;
         if with_fault {
             cfg.faults = vec![self.fault.clone()];
@@ -219,8 +207,8 @@ fn level_name(level: CheckLevel) -> &'static str {
 }
 
 /// The full campaign matrix: each fault crossed with the workloads
-/// that guarantee it triggers, the check levels that guarantee it is
-/// detected, and both engines.
+/// that guarantee it triggers and the check levels that guarantee it
+/// is detected.
 fn matrix() -> Vec<Case> {
     use CheckLevel::{Cycle, Off, Retire};
     use FaultInjection as F;
@@ -279,15 +267,7 @@ fn matrix() -> Vec<Case> {
     for (fault, workloads, levels, expect) in rows {
         for &workload in &workloads {
             for &level in &levels {
-                for engine in [Engine::Ticked, Engine::Event] {
-                    cases.push(Case {
-                        fault: fault.clone(),
-                        workload,
-                        engine,
-                        level,
-                        expect,
-                    });
-                }
+                cases.push(Case { fault: fault.clone(), workload, level, expect });
             }
         }
     }
@@ -365,8 +345,6 @@ pub struct ChaosRow {
     pub fault: &'static str,
     /// Workload name.
     pub workload: &'static str,
-    /// Engine name.
-    pub engine: &'static str,
     /// Check-level name.
     pub level: &'static str,
     /// The classified outcome.
@@ -457,7 +435,6 @@ fn run_case(case: &Case, watchdog_seconds: f64) -> Result<ChaosRow, Error> {
     Ok(ChaosRow {
         fault: case.fault.name(),
         workload: case.workload.name(),
-        engine: case.engine.name(),
         level: level_name(case.level),
         outcome,
     })
@@ -500,21 +477,11 @@ pub fn run(jobs: usize, watchdog_seconds: f64) -> ChaosReport {
 pub fn render(report: &ChaosReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Chaos fault-injection campaign (fault x workload x engine x check level)\n"
-    );
-    let _ = writeln!(
-        out,
-        "{:<24} {:<9} {:<7} {:<7} outcome",
-        "fault", "workload", "engine", "check"
-    );
+    let _ = writeln!(out, "Chaos fault-injection campaign (fault x workload x check level)\n");
+    let _ = writeln!(out, "{:<24} {:<9} {:<7} outcome", "fault", "workload", "check");
     for row in &report.rows {
-        let _ = writeln!(
-            out,
-            "{:<24} {:<9} {:<7} {:<7} {}",
-            row.fault, row.workload, row.engine, row.level, row.outcome
-        );
+        let _ =
+            writeln!(out, "{:<24} {:<9} {:<7} {}", row.fault, row.workload, row.level, row.outcome);
     }
     for broken in &report.broken_cells {
         let _ = writeln!(out, "BROKEN CELL: {broken}");
@@ -540,20 +507,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matrix_covers_every_fault_both_engines() {
+    fn matrix_covers_every_fault() {
         let cases = matrix();
         let faults: std::collections::BTreeSet<&str> =
             cases.iter().map(|c| c.fault.name()).collect();
         assert_eq!(faults.len(), 8, "all eight faults campaign: {faults:?}");
-        for engine in [Engine::Ticked, Engine::Event] {
-            for fault in &faults {
-                assert!(
-                    cases.iter().any(|c| c.fault.name() == *fault && c.engine == engine),
-                    "{fault} missing on {}",
-                    engine.name()
-                );
-            }
+        for level in [CheckLevel::Off, CheckLevel::Retire, CheckLevel::Cycle] {
+            assert!(
+                cases.iter().any(|c| c.level == level),
+                "no case at check level {}",
+                level_name(level)
+            );
         }
+        assert_eq!(cases.len(), 24);
     }
 
     #[test]
@@ -564,10 +530,9 @@ mod tests {
         for row in &report.rows {
             assert!(
                 row.outcome.detected(),
-                "{}/{}/{}/{}: {}",
+                "{}/{}/{}: {}",
                 row.fault,
                 row.workload,
-                row.engine,
                 row.level,
                 row.outcome
             );
@@ -587,7 +552,6 @@ mod tests {
         let case = Case {
             fault: FaultInjection::LeakOperandBuffer { cycle: 0 },
             workload: Workload::PingPong,
-            engine: Engine::Ticked,
             level: CheckLevel::Off,
             expect: Expect::Invariant("otb-accounting"),
         };

@@ -406,13 +406,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash in one piece: both are ASCII, so in the
+                    // `&str` input the run ends on a scalar boundary, and
+                    // each byte is decoded once.
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    let plain = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|e| e.to_string())?;
+                    out.push_str(plain);
                 }
             }
         }
@@ -529,6 +534,38 @@ mod tests {
         assert_eq!(items[0].as_u64(), Some(1));
         assert_eq!(items[1].as_f64(), Some(-25.0));
         assert_eq!(items[2].as_str(), Some("A"));
+    }
+
+    #[test]
+    fn parse_is_linear_in_string_heavy_documents() {
+        // About 5 MB of strings mixing ASCII, multi-byte scalars and
+        // escapes, the shape of a pipetrace export. Decoding each
+        // scalar against the whole remaining input took minutes here.
+        let names: Vec<String> = (0..40_000)
+            .map(|i| format!("op {i}: héllo → 世界 🎉 \"q\" \\ tab\t end {}", "x".repeat(64)))
+            .collect();
+        let doc = Json::Array(
+            names
+                .iter()
+                .map(|name| {
+                    let mut op = Json::object();
+                    op.field("name", name.as_str().into()).field("seq", 7u64.into());
+                    op
+                })
+                .collect(),
+        );
+        let text = doc.render();
+        assert!(text.len() > 4_000_000, "{} bytes", text.len());
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).expect("parses");
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs_f64() < 10.0, "parse took {elapsed:?}");
+        let items = parsed.as_array().expect("array");
+        assert_eq!(items.len(), names.len());
+        for (item, name) in items.iter().zip(&names) {
+            assert_eq!(item.get("name").and_then(Json::as_str), Some(name.as_str()));
+        }
+        assert_eq!(parsed.render(), text);
     }
 
     #[test]

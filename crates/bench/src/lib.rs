@@ -38,12 +38,9 @@
 //! - [`flight`] — the `--flight FILE` whole-run host flight recorder:
 //!   one Chrome trace of cell scheduling, trace builds, simulations,
 //!   and store and persist I/O across the entire invocation.
-//! - [`trend`] — `repro trend`: per-metric deltas and noise-banded
-//!   regression detection over `BENCH_repro.history.jsonl`, with
-//!   `--gate` for CI.
 //!
-//! Everything here is a library so the `repro` binary and the criterion
-//! benches share one implementation.
+//! Everything here is a library so the `repro` binary and the
+//! repository benchmark (`perfbench/`) share one implementation.
 
 use std::fmt;
 
@@ -59,7 +56,6 @@ pub mod explain;
 pub mod figure6;
 pub mod flight;
 pub mod json;
-pub mod microbench;
 pub mod obs;
 pub mod persist;
 pub mod pipetrace;
@@ -70,7 +66,6 @@ pub mod selftest;
 pub mod store;
 pub mod table1;
 pub mod table2;
-pub mod trend;
 
 pub use persist::{PersistCounters, PersistStore};
 pub use store::{SimProduct, TracePhases, TraceRequest, TraceStore};

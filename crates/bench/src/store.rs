@@ -205,7 +205,7 @@ pub struct SimProduct {
     /// a cache hit simulates nothing.
     pub fresh: bool,
     /// Dead-cycle fast-forward counters of the run that produced the
-    /// statistics (all zero under `Engine::Ticked`). Cached serves
+    /// statistics (all zero for a single-stepped run). Cached serves
     /// report the counters of the original run.
     pub ff: FastForward,
     /// Seconds this call spent obtaining the trace (≈0 on a store hit);

@@ -4,79 +4,7 @@ use mcl_bpred::PredictorConfig;
 use mcl_isa::{assign::RegisterAssignment, IssueRules, Latencies};
 use mcl_mem::CacheConfig;
 
-use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
-
 use crate::check::{self, CheckLevel, FaultInjection};
-
-/// Which simulation loop drives the processor model.
-///
-/// Both engines run the same phase code against the same
-/// [`TimeQ`](crate::timeq::TimeQ) event queues and produce byte-identical
-/// [`SimStats`](crate::SimStats) and event logs; the event engine
-/// additionally fast-forwards `now` across spans it can prove dead (no
-/// cluster can dispatch, issue, or retire) straight to the next
-/// scheduled event, charging the skipped cycles to the same stall
-/// bucket the ticked loop would have. See `DESIGN.md` §12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The legacy loop: advance one cycle at a time, always.
-    Ticked,
-    /// Skip dead cycles by jumping to the next scheduled event.
-    #[default]
-    Event,
-}
-
-impl Engine {
-    /// Stable lower-case name (`ticked` / `event`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Ticked => "ticked",
-            Engine::Event => "event",
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            Engine::Ticked => 0,
-            Engine::Event => 1,
-        }
-    }
-
-    fn from_u8(v: u8) -> Engine {
-        match v {
-            0 => Engine::Ticked,
-            _ => Engine::Event,
-        }
-    }
-}
-
-impl FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        match s {
-            "ticked" => Ok(Engine::Ticked),
-            "event" => Ok(Engine::Event),
-            other => Err(format!("unknown engine '{other}' (expected ticked|event)")),
-        }
-    }
-}
-
-static GLOBAL_ENGINE: AtomicU8 = AtomicU8::new(1);
-
-/// Sets the process-wide default engine picked up by the
-/// [`ProcessorConfig`] presets (mirrors [`check::set_global_level`]).
-pub fn set_global_engine(engine: Engine) {
-    GLOBAL_ENGINE.store(engine.as_u8(), Ordering::Relaxed);
-}
-
-/// The process-wide default engine (defaults to [`Engine::Event`]).
-#[must_use]
-pub fn global_engine() -> Engine {
-    Engine::from_u8(GLOBAL_ENGINE.load(Ordering::Relaxed))
-}
 
 /// Complete configuration of a simulated processor (single-cluster or
 /// multicluster).
@@ -158,10 +86,6 @@ pub struct ProcessorConfig {
     /// that the invariant checker catches real corruption (used by
     /// `repro selftest`; empty in normal runs).
     pub faults: Vec<FaultInjection>,
-    /// Which simulation loop to use (see [`Engine`]). The presets
-    /// default to the process-wide engine set via
-    /// [`set_global_engine`] (normally [`Engine::Event`]).
-    pub engine: Engine,
 }
 
 /// One compiler-directed reassignment of the architectural registers
@@ -205,7 +129,6 @@ impl ProcessorConfig {
             check_level: check::global_level(),
             wedge_threshold: 1000,
             faults: Vec::new(),
-            engine: global_engine(),
         }
     }
 
@@ -288,13 +211,6 @@ impl ProcessorConfig {
         self
     }
 
-    /// Returns the configuration with the given simulation engine.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> ProcessorConfig {
-        self.engine = engine;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -353,14 +269,6 @@ mod tests {
     fn register_assignment_matches_cluster_count() {
         assert_eq!(ProcessorConfig::single_cluster_8way().register_assignment().clusters(), 1);
         assert_eq!(ProcessorConfig::dual_cluster_8way().register_assignment().clusters(), 2);
-    }
-
-    #[test]
-    fn engine_parses_and_names_round_trip() {
-        for engine in [Engine::Ticked, Engine::Event] {
-            assert_eq!(engine.name().parse::<Engine>(), Ok(engine));
-        }
-        assert!("turbo".parse::<Engine>().is_err());
     }
 
     #[test]

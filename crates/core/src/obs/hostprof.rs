@@ -9,8 +9,8 @@
 //! constant, so the unprofiled engine compiles to exactly the code it
 //! had before this module existed. Unlike probes, a [`HostProf`] does
 //! **not** force single-stepping: the profiled run takes the real
-//! event-engine path, fast-forward jumps included, because the whole
-//! point is to time that path.
+//! path, fast-forward jumps included, because the whole point is to
+//! time that path.
 //!
 //! [`PhaseProf`] charges host nanoseconds to [`HostPhase`]s by
 //! *telescoping* monotonic-clock samples: one `Instant::now()` read
@@ -46,7 +46,7 @@ pub enum HostPhase {
     /// active).
     Checker,
     /// Dead-cycle fast-forward bookkeeping (jump-target computation and
-    /// span charging; zero under the ticked engine).
+    /// span charging; zero for a single-stepped run).
     FastForward,
     /// Everything else: progress check, watchdog poll, loop overhead,
     /// and the run's entry/exit tails.
@@ -293,17 +293,6 @@ impl HostProfReport {
         }
         Ok(())
     }
-
-    /// Merges another report into this one (phase-wise sums; elapsed
-    /// times add, so the identity survives the merge).
-    pub fn absorb(&mut self, other: &HostProfReport) {
-        for (mine, theirs) in self.phase_ns.iter_mut().zip(other.phase_ns) {
-            *mine += theirs;
-        }
-        self.live_cycles += other.live_cycles;
-        self.cycles += other.cycles;
-        self.elapsed_ns += other.elapsed_ns;
-    }
 }
 
 #[cfg(test)]
@@ -359,27 +348,5 @@ mod tests {
         };
         gap.phase_ns[0] = 50;
         assert!(gap.check_identity().unwrap_err().contains("unattributed"));
-    }
-
-    #[test]
-    fn absorb_sums_and_preserves_the_identity() {
-        let mut a = HostProfReport {
-            phase_ns: [10, 0, 0, 0, 0, 0, 0, 5],
-            live_cycles: 3,
-            cycles: 4,
-            elapsed_ns: 16,
-        };
-        let b = HostProfReport {
-            phase_ns: [1, 2, 0, 0, 0, 0, 0, 0],
-            live_cycles: 2,
-            cycles: 2,
-            elapsed_ns: 3,
-        };
-        a.absorb(&b);
-        assert_eq!(a.total_ns(), 18);
-        assert_eq!(a.live_cycles, 5);
-        assert_eq!(a.cycles, 6);
-        assert_eq!(a.elapsed_ns, 19);
-        a.check_identity().expect("sums stay within slop");
     }
 }

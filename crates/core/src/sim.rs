@@ -19,7 +19,7 @@ use mcl_mem::{Access, Cache};
 use mcl_trace::{vm::trace_program, PackedTrace, Program, TraceOp, TraceSource, VmError};
 
 use crate::check::{self, CheckLevel, FaultInjection};
-use crate::config::{Engine, ProcessorConfig};
+use crate::config::ProcessorConfig;
 use crate::dist::{distribute, Distribution, PhysRegs};
 use crate::events::{EventKind, EventLog};
 use crate::obs::{
@@ -38,7 +38,7 @@ pub struct SimResult {
     pub stats: SimStats,
     /// The event log, when [`ProcessorConfig::record_events`] was set.
     pub events: Option<EventLog>,
-    /// Dead-cycle-skip counters (all zero under [`Engine::Ticked`]).
+    /// Dead-cycle-skip counters (all zero for a single-stepped run).
     pub ff: FastForward,
 }
 
@@ -232,8 +232,8 @@ impl Processor {
     /// cycle (see [`crate::obs::hostprof`]). The profiler observes the
     /// *host*, never the simulated machine — statistics are identical
     /// to the unprofiled run, and unlike a probe it does not force
-    /// single-stepping, so the event engine's fast-forward path is
-    /// profiled as it really runs.
+    /// single-stepping, so the fast-forward path is profiled as it
+    /// really runs.
     ///
     /// # Errors
     ///
@@ -670,7 +670,7 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     pending_reassign: Vec<crate::config::ReassignmentPoint>,
     /// A reassignment is waiting for the pipeline to drain.
     reassign_draining: bool,
-    /// Dead-cycle-skip counters (stay zero under [`Engine::Ticked`]).
+    /// Dead-cycle-skip counters (stay zero for a single-stepped run).
     ff: FastForward,
     /// The observability probe; every call site is gated on the
     /// monomorphization-time constant `P::ENABLED`, so the default
@@ -779,13 +779,12 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // validates per cycle, so both force single-stepping (their
         // observations are of dead cycles that log nothing and change
         // no stats, which is why on/off stays byte-identical).
-        let fast_forward =
-            self.cfg.engine == Engine::Event && !P::ENABLED && self.check != CheckLevel::Cycle;
+        let fast_forward = !P::ENABLED && self.check != CheckLevel::Cycle;
         // Cooperative hard watchdog: the deadline is a thread-local
         // token (not part of the configuration — configurations key
         // result caches), polled every `WATCHDOG_STRIDE` steps so the
         // wall-clock read stays off the per-cycle path. Steps, not
-        // cycles: the event engine jumps cycle counts arbitrarily.
+        // cycles: fast-forward jumps cycle counts arbitrarily.
         const WATCHDOG_STRIDE: u32 = 4096;
         let deadline = crate::watchdog::deadline();
         let mut until_poll = WATCHDOG_STRIDE;
@@ -833,8 +832,8 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
 
     /// Simulates one cycle, returning how many retire/wake/issue/
     /// dispatch actions it performed (the same count the progress
-    /// check sees; the event engine only attempts a fast-forward after
-    /// an actionless cycle).
+    /// check sees; the loop only attempts a fast-forward after an
+    /// actionless cycle).
     fn step(&mut self) -> Result<u32, SimError> {
         if H::ENABLED {
             // Telescoping sample: everything since the previous cycle's
@@ -1037,14 +1036,14 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
 
     // -- dead-cycle fast-forward -------------------------------------------
 
-    /// Event-engine core: after a stepped cycle that performed no
-    /// action, jump `now` straight to the next scheduled event if the
-    /// span in between is provably dead — no cluster could dispatch,
-    /// issue, or retire on any skipped cycle — charging the span to
-    /// the same stall bucket the ticked loop would have charged cycle
-    /// by cycle. Conservative: any doubt aborts the jump and the
-    /// engine single-steps, so the result is byte-identical to
-    /// [`Engine::Ticked`] by construction. Several checks below lean
+    /// After a stepped cycle that performed no action, jump `now`
+    /// straight to the next scheduled event if the span in between is
+    /// provably dead — no cluster could dispatch, issue, or retire on
+    /// any skipped cycle — charging the span to the same stall bucket a
+    /// single-stepped run would have charged cycle by cycle.
+    /// Conservative: any doubt aborts the jump and the loop
+    /// single-steps, so the result is byte-identical to a
+    /// single-stepped run by construction. Several checks below lean
     /// on the actionless precondition (the caller gates on it): ready
     /// copies were all evaluated against a fresh issue budget this
     /// cycle, and no in-pass state (budget, buffers, dividers) was
@@ -1075,7 +1074,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         //   unit busy after its event is discarded as stale;
         // - a full transfer buffer, which only refills through a
         //   scheduled buffer-free event (already a jump target). The
-        //   ticked loop charges `rtb_full_stalls`/`otb_full_stalls`
+        //   stepped loop charges `rtb_full_stalls`/`otb_full_stalls`
         //   once per blocked copy per cycle, so the span charges the
         //   per-cycle count times the span length below.
         //
@@ -1108,7 +1107,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                             }
                         } else {
                             // No dividers configured: unissuable, but the
-                            // ticked loop's wedge detection must see it.
+                            // stepped loop's wedge detection must see it.
                             return;
                         }
                     }
@@ -1132,10 +1131,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // scheduled event can lift.
         let Some(cause) = self.dead_dispatch_cause() else { return };
         // Earliest live completion (also discards stale events, exactly
-        // as the ticked progress check does when it consults the queue).
+        // as the stepped progress check does when it consults the queue).
         let live_completion = self.next_live_completion(now);
         // The skipped cycles never run the wedge/replay escalation, so
-        // fast-forwarding is only sound if the ticked loop's progress
+        // fast-forwarding is only sound if the stepped loop's progress
         // check would also have seen future work on every one of them.
         // Every term below is constant across the dead span. Applied
         // with the window empty too: an empty window with trace left
@@ -1180,7 +1179,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         if target == u64::MAX {
             return;
         }
-        // The ticked loop errors out upon reaching the cycle limit;
+        // The stepped loop errors out upon reaching the cycle limit;
         // jumping past it would skip that check.
         target = target.min(self.cfg.max_cycles);
         if target <= now {
@@ -1210,7 +1209,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         }
         // Each skipped cycle re-runs the same issue pass against the
         // same full buffers: charge the per-cycle stall counts once per
-        // skipped cycle, exactly as the ticked loop would.
+        // skipped cycle, exactly as the stepped loop would.
         self.stats.rtb_full_stalls += rtb_stalls * n;
         self.stats.otb_full_stalls += otb_stalls * n;
         self.ff.skipped_cycles += n;
@@ -3190,22 +3189,31 @@ mod tests {
     }
 
     #[test]
-    fn stuck_branch_wedge_is_engine_identical() {
-        // The empty-window wedge span must tick cycle by cycle on both
-        // engines: the event engine may not fast-forward across cycles
-        // the ticked progress check counts toward the threshold.
+    fn stuck_branch_wedge_matches_single_stepping() {
+        // The empty-window wedge span must tick cycle by cycle:
+        // fast-forward may not jump across cycles the stepped progress
+        // check counts toward the threshold. An enabled probe forces
+        // single-stepping, so it is the reference run.
+        struct Stepped;
+        impl Probe for Stepped {}
         let p = loop_with_tail_program();
-        let mut errs = Vec::new();
-        for engine in [Engine::Ticked, Engine::Event] {
-            let mut cfg = ProcessorConfig::single_cluster_8way().with_engine(engine);
-            cfg.wedge_threshold = 64;
-            cfg.faults = vec![FaultInjection::StickBranchResolution { cycle: 0 }];
-            match Processor::new(cfg).run_program(&p).unwrap_err() {
-                SimError::Wedged { cycle, oldest_seq } => errs.push((cycle, oldest_seq)),
-                other => panic!("expected Wedged, got {other}"),
-            }
-        }
-        assert_eq!(errs[0], errs[1], "engines disagree on the wedge report");
+        let mut cfg = ProcessorConfig::single_cluster_8way();
+        cfg.wedge_threshold = 64;
+        cfg.faults = vec![FaultInjection::StickBranchResolution { cycle: 0 }];
+        let (trace, _) = trace_program(&p).unwrap();
+        let mut processor = Processor::new(cfg);
+        let errs = [
+            processor.run_trace(&trace).unwrap_err(),
+            processor.run_trace_observed(&trace, &mut Stepped).unwrap_err(),
+        ]
+        .map(|err| match err {
+            SimError::Wedged { cycle, oldest_seq } => (cycle, oldest_seq),
+            other => panic!("expected Wedged, got {other}"),
+        });
+        assert_eq!(
+            errs[0], errs[1],
+            "fast-forward and single-stepping disagree on the wedge report"
+        );
     }
 
     #[test]

@@ -33,9 +33,9 @@ pub const STATS_WIRE_VERSION: u32 = 1;
 ///
 /// [`SimStats::check_stall_identity`] verifies this; `repro selftest`
 /// asserts it for every benchmark/configuration cell.
-// `SimStats` is compared with `==` across engines (the ticked-vs-event
-// differential bar), so engine-mechanics counters like dead-cycle skips
-// live in `FastForward`, not here.
+// `SimStats` is compared with `==` between fast-forwarded and
+// single-stepped runs (the differential bar), so engine-mechanics
+// counters like dead-cycle skips live in `FastForward`, not here.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Simulated clock cycles (the paper's metric).
@@ -366,11 +366,12 @@ impl WireReader<'_> {
     }
 }
 
-/// Dead-cycle-skip counters from the event-driven engine.
+/// Dead-cycle-skip counters.
 ///
 /// These describe how the engine reached the answer, not the answer
-/// itself: the same run under [`Engine::Ticked`](crate::config::Engine)
-/// reports zeros here while producing byte-identical [`SimStats`].
+/// itself: the same run single-stepped (under a probe or cycle-level
+/// checking) reports zeros here while producing byte-identical
+/// [`SimStats`].
 /// `skipped_cycles` are included in [`SimStats::cycles`] (and charged to
 /// their stall buckets) — this struct only attributes how many of them
 /// were covered by fast-forward jumps instead of ticks.

@@ -16,9 +16,10 @@
 //! where `tick` is a per-queue insertion counter: same-cycle entries
 //! drain in key order, and exact duplicates in insertion order. This
 //! reproduces the pop order of the `BinaryHeap<Reverse<(cycle, key)>>`
-//! formulation the engine used before, which is what keeps the
-//! ticked and event-driven engines byte-identical (branch resolutions,
-//! for example, must update the predictor in `(cycle, seq)` order).
+//! formulation the engine used before, which is what keeps
+//! fast-forwarded and single-stepped runs byte-identical (branch
+//! resolutions, for example, must update the predictor in
+//! `(cycle, seq)` order).
 //!
 //! # Late scheduling
 //!

@@ -116,39 +116,26 @@ grep -q "compress: ${json_cycles} cycles" "$smoke_dir/explain.txt" || {
     exit 1
 }
 
-echo "== smoke: event engine is byte-identical to ticked =="
-# The event engine must be a pure wall-clock optimization: the whole
-# experiment suite, probes off and on, renders byte-for-byte the same
-# under both engines (BENCH_repro.json differs only in wall-clock and
-# fast-forward fields, so the rendered reports are the identity check).
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 --engine ticked > all_ticked.txt)
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 --engine event > all_event.txt)
-if ! diff -q "$smoke_dir/all_ticked.txt" "$smoke_dir/all_event.txt"; then
-    echo "FAIL: --engine event changed repro all output (probes off)" >&2
+echo "== smoke: fast-forward is byte-identical to single-stepping =="
+# Dead-cycle fast-forward must be a pure wall-clock optimization:
+# `--check cycle` single-steps every simulation (the checker audits
+# every cycle and only reads state), so the whole experiment suite
+# must render byte-for-byte the same with and without it.
+(cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 > all_plain.txt)
+(cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 --check cycle > all_stepped.txt)
+if ! diff -q "$smoke_dir/all_plain.txt" "$smoke_dir/all_stepped.txt"; then
+    echo "FAIL: single-stepping (--check cycle) changed repro all output" >&2
     exit 1
 fi
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 4 --obs obs_eng_t --engine ticked > t2_obs_ticked.txt)
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 4 --obs obs_eng_e --engine event > t2_obs_event.txt)
-if ! diff -q "$smoke_dir/t2_obs_ticked.txt" "$smoke_dir/t2_obs_event.txt"; then
-    echo "FAIL: --engine event changed table2 output (probes on)" >&2
-    exit 1
-fi
-if ! diff -r "$smoke_dir/obs_eng_t" "$smoke_dir/obs_eng_e" > /dev/null; then
-    echo "FAIL: --engine event changed the observability exports" >&2
-    exit 1
-fi
-
-echo "== smoke: selftest under the event engine =="
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" selftest 8 --jobs 2 --engine event)
 
 echo "== smoke: host flight recorder =="
 # The recorder must be a pure observer: rendered output byte-identical
-# with recording on, under both engines, and the recording itself must
-# pass obs-validate's flight contract (completed spans, categorized
-# events, finite timestamps).
+# with recording on, and the recording itself must pass obs-validate's
+# flight contract (completed spans, categorized events, finite
+# timestamps).
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 \
     --flight run.flight.json > all_flight.txt 2> flight.err)
-if ! diff -q "$smoke_dir/all_event.txt" "$smoke_dir/all_flight.txt"; then
+if ! diff -q "$smoke_dir/all_plain.txt" "$smoke_dir/all_flight.txt"; then
     echo "FAIL: --flight changed repro all output" >&2
     exit 1
 fi
@@ -156,14 +143,8 @@ grep -q '"flight":{"file":"run.flight.json"}' "$smoke_dir/BENCH_repro.json" || {
     echo "FAIL: flight recording not recorded in BENCH_repro.json" >&2
     exit 1
 }
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 --engine ticked \
-    --flight flight_ticked.flight.json > all_ticked_flight.txt 2> /dev/null)
-if ! diff -q "$smoke_dir/all_ticked.txt" "$smoke_dir/all_ticked_flight.txt"; then
-    echo "FAIL: --flight changed repro all output under the ticked engine" >&2
-    exit 1
-fi
 mkdir "$smoke_dir/flight_dir"
-cp "$smoke_dir/run.flight.json" "$smoke_dir/flight_ticked.flight.json" "$smoke_dir/flight_dir/"
+cp "$smoke_dir/run.flight.json" "$smoke_dir/flight_dir/"
 target/release/repro obs-validate "$smoke_dir/flight_dir"
 
 echo "== smoke: engine phase-cost profile =="
@@ -189,27 +170,16 @@ grep -q '"profile":{"dir":"hostprof_out"}' "$smoke_dir/BENCH_repro.json" || {
 }
 
 echo "== smoke: per-instruction pipetrace =="
-# One cell under each engine. The binary enforces that the instrumented
-# companion run is byte-identical to the uninstrumented one (probe
-# on/off identity — it exits nonzero on any divergence), and the
-# retire-exactness identity on the recorded lifecycle; the full 36-cell
-# identity sweep runs inside `repro selftest` (pipetrace-identity
-# stage) above. Here CI additionally demands the rendered report and
-# both export files are byte-identical across engines, revalidates the
-# exports with obs-validate, and cross-checks the exported cycle and
-# retirement counts against BENCH_repro.json and the rendered report.
+# One cell. The binary enforces that the instrumented companion run is
+# byte-identical to the uninstrumented one (probe on/off identity — it
+# exits nonzero on any divergence), and the retire-exactness identity
+# on the recorded lifecycle; the full 36-cell identity sweep runs
+# inside `repro selftest` (pipetrace-identity stage) above. Here CI
+# additionally revalidates the exports with obs-validate and
+# cross-checks the exported cycle and retirement counts against
+# BENCH_repro.json and the rendered report.
 (cd "$smoke_dir" && MCL_ONLY=compress "$OLDPWD/target/release/repro" pipetrace 8 \
-    --engine ticked --out pipetrace_out_ticked > pipetrace_ticked.txt)
-(cd "$smoke_dir" && MCL_ONLY=compress "$OLDPWD/target/release/repro" pipetrace 8 \
-    --engine event --out pipetrace_out > pipetrace.txt)
-if ! diff -q "$smoke_dir/pipetrace_ticked.txt" "$smoke_dir/pipetrace.txt"; then
-    echo "FAIL: pipetrace report differs between engines" >&2
-    exit 1
-fi
-if ! diff -r "$smoke_dir/pipetrace_out_ticked" "$smoke_dir/pipetrace_out" > /dev/null; then
-    echo "FAIL: pipetrace exports differ between engines" >&2
-    exit 1
-fi
+    --out pipetrace_out > pipetrace.txt)
 test -s "$smoke_dir/pipetrace_out/compress.konata" || {
     echo "FAIL: compress.konata was not written" >&2
     exit 1
@@ -249,8 +219,8 @@ target/release/repro obs-validate "$smoke_dir/pipetrace_diff"
 echo "== smoke: chaos fault-injection campaign =="
 # Every injected fault must surface as a structured error (invariant
 # violation or wedge) — never silently perturb statistics. The campaign
-# sweeps fault x workload x engine x check level and the binary exits
-# nonzero unless 100% of cells detect and 0% leak.
+# sweeps fault x workload x check level and the binary exits nonzero
+# unless 100% of cells detect and 0% leak.
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" chaos --jobs 2 > chaos.txt)
 grep -q 'chaos: PASS (100% detected, 0% leaked)' "$smoke_dir/chaos.txt" || {
     echo "FAIL: chaos campaign did not report a full pass" >&2
@@ -298,60 +268,6 @@ if ! awk -v c="$cold_wall" -v w="$warm_wall" -v f="$store_speedup_floor" \
     exit 1
 fi
 echo "store guard OK: simulate ${cold_wall}s cold vs ${warm_wall}s warm (floor ${store_speedup_floor}x), output byte-identical"
-
-echo "== guard: event-engine throughput =="
-# `repro bench` is min-of-3 per (workload, engine) and cross-checks the
-# engines' statistics on every run. The skip totals are deterministic,
-# so they get a hard floor; the wall-clock ratio is noise-bound on
-# shared hosts (the dead fraction of this workload mix is time-weighted
-# ~1.2x, see EXPERIMENTS.md), so its guard is a no-regression bound
-# (override with MCL_ENGINE_GUARD_RATIO).
-ratio_floor="${MCL_ENGINE_GUARD_RATIO:-0.90}"
-skip_floor="${MCL_ENGINE_GUARD_SKIP_PCT:-25.0}"
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" bench 8 > bench.txt)
-cat "$smoke_dir/bench.txt"
-ratio="$(grep -o 'event/ticked = [0-9.]*' "$smoke_dir/bench.txt" | grep -o '[0-9.]*$')"
-skip_pct="$(grep -o 'cycles ([0-9.]*%)' "$smoke_dir/bench.txt" | grep -o '[0-9.]*')"
-if [ -z "$ratio" ] || [ -z "$skip_pct" ]; then
-    echo "FAIL: could not parse the engine-bench summary lines" >&2
-    exit 1
-fi
-if ! awk -v p="$skip_pct" -v f="$skip_floor" 'BEGIN { exit !(p >= f) }'; then
-    echo "FAIL: event engine skipped only ${skip_pct}% of cycles (floor ${skip_floor}%)" >&2
-    exit 1
-fi
-if ! awk -v r="$ratio" -v f="$ratio_floor" 'BEGIN { exit !(r >= f) }'; then
-    echo "FAIL: event/ticked throughput ratio ${ratio} below floor ${ratio_floor}" >&2
-    exit 1
-fi
-echo "engine guard OK: ratio ${ratio} (floor ${ratio_floor}), skipped ${skip_pct}% (floor ${skip_floor}%)"
-
-append_history() {
-    # Appends a `repro bench` run's schema-versioned summary line to the
-    # perf trajectory log so the trend is tracked across PRs. The binary
-    # validates every candidate (JSON shape, required keys, current
-    # schema, no duplicates) and skips-with-warning instead of poisoning
-    # the log; malformed existing lines are reported too.
-    local src="$1" line
-    line="$(grep -o 'engine-bench: history = {.*}' "$src" | sed 's/^engine-bench: history = //')"
-    if [ -z "$line" ]; then
-        echo "FAIL: no history summary line in $src" >&2
-        exit 1
-    fi
-    printf '%s\n' "$line" | target/release/repro history-append BENCH_repro.history.jsonl
-}
-append_history "$smoke_dir/bench.txt"
-
-echo "== trend: perf trajectory (soft gate) =="
-# Noise-banded regression analysis over the history just appended to,
-# mixed schema versions included. Soft: one noisy CI host must not
-# block a merge, but the ranked report lands in the log either way
-# and a regression is loudly flagged.
-if target/release/repro trend BENCH_repro.history.jsonl --gate; then
-    echo "trend gate OK"
-else
-    echo "WARN: trend gate flagged a perf regression (soft stage; see the report above)" >&2
-fi
 
 echo "== guard: disabled-probe overhead =="
 # Compare min-of-3 serial `repro all` wall time against the previous

@@ -1,8 +1,9 @@
-//! Ticked-vs-event engine differential: the event-driven engine's
-//! dead-cycle fast-forward is an execution strategy, not a model change,
-//! so for any program both engines must produce byte-identical
-//! [`SimStats`] and — with a [`CritPathProbe`] attached — identical
-//! critical-path attributions.
+//! Fast-forward differential: dead-cycle fast-forward is an execution
+//! strategy, not a model change, so for any program a fast-forwarded
+//! run must produce byte-identical [`SimStats`] to the same run
+//! single-stepped. The single-stepped oracle is the same engine with an
+//! enabled no-op probe attached ([`Stepped`]): any enabled probe, like
+//! cycle-level checking, forces single-stepping.
 //!
 //! Programs are randomized IL (deterministic [`mcl_testutil::Rng`]
 //! seeds, so failures reproduce exactly): counted loops with int/fp ALU
@@ -11,13 +12,21 @@
 //! single-cluster preset, the dual-cluster preset, and a tiny-buffer
 //! dual machine that forces replay exceptions.
 
-use mcl_core::{CheckLevel, CritPathProbe, Engine, Processor, ProcessorConfig, SimStats};
+use mcl_core::{
+    CheckLevel, CritPathProbe, FastForward, Probe, Processor, ProcessorConfig, SimResult,
+};
 use mcl_isa::ArchReg;
 use mcl_testutil::Rng;
 use mcl_trace::{vm::trace_program, PackedTrace, Program, ProgramBuilder};
 
+/// The single-stepped oracle: `ENABLED` keeps its default `true`, so the
+/// run single-steps, and every hook is a no-op.
+struct Stepped;
+
+impl Probe for Stepped {}
+
 /// Machine presets the differential runs on. The tiny-buffer dual
-/// machine forces transfer-buffer replays through both engines.
+/// machine forces transfer-buffer replays through both paths.
 fn presets() -> Vec<(&'static str, ProcessorConfig)> {
     let mut tiny = ProcessorConfig::dual_cluster_8way();
     tiny.operand_buffer = 1;
@@ -112,8 +121,20 @@ fn emit_random_ops(
     }
 }
 
-fn run(cfg: &ProcessorConfig, engine: Engine, trace: &PackedTrace) -> mcl_core::SimResult {
-    Processor::new(cfg.clone().with_engine(engine)).run_packed(trace).expect("runs")
+fn run(cfg: &ProcessorConfig, trace: &PackedTrace) -> SimResult {
+    Processor::new(cfg.clone()).run_packed(trace).expect("runs")
+}
+
+fn run_stepped(cfg: &ProcessorConfig, trace: &PackedTrace) -> SimResult {
+    Processor::new(cfg.clone()).run_packed_observed(trace, &mut Stepped).expect("runs")
+}
+
+fn random_traces(seeds: std::ops::Range<u64>) -> impl Iterator<Item = (u64, PackedTrace)> {
+    seeds.map(|seed| {
+        let program = random_program(&mut Rng::new(seed));
+        let (trace, _) = trace_program(&program).expect("valid program");
+        (seed, PackedTrace::from_ops(&trace))
+    })
 }
 
 #[test]
@@ -121,29 +142,25 @@ fn engines_agree_on_random_programs() {
     let presets = presets();
     let mut total_skipped = 0u64;
     let mut total_jumps = 0u64;
-    for seed in 0..24u64 {
-        let mut rng = Rng::new(seed);
-        let program = random_program(&mut rng);
-        let (trace, _) = trace_program(&program).expect("valid program");
-        let packed = PackedTrace::from_ops(&trace);
+    for (seed, packed) in random_traces(0..24) {
         for (name, cfg) in &presets {
-            let ticked = run(cfg, Engine::Ticked, &packed);
-            let event = run(cfg, Engine::Event, &packed);
+            let stepped = run_stepped(cfg, &packed);
+            let fast = run(cfg, &packed);
             assert_eq!(
-                ticked.stats, event.stats,
-                "seed {seed} preset {name}: engines diverged"
+                stepped.stats, fast.stats,
+                "seed {seed} preset {name}: fast-forward diverged from single-stepping"
             );
             assert_eq!(
-                ticked.ff,
-                mcl_core::FastForward::default(),
-                "seed {seed} preset {name}: ticked engine must not fast-forward"
+                stepped.ff,
+                FastForward::default(),
+                "seed {seed} preset {name}: a probed run must not fast-forward"
             );
             assert!(
-                event.ff.skipped_cycles < event.stats.cycles,
+                fast.ff.skipped_cycles < fast.stats.cycles,
                 "seed {seed} preset {name}: skipped more cycles than were simulated"
             );
-            total_skipped += event.ff.skipped_cycles;
-            total_jumps += event.ff.jumps;
+            total_skipped += fast.ff.skipped_cycles;
+            total_jumps += fast.ff.jumps;
         }
     }
     // The suite as a whole must exercise the fast-forward path, or the
@@ -156,26 +173,21 @@ fn engines_agree_on_random_programs() {
 
 #[test]
 fn engines_agree_under_the_cycle_level_checker() {
-    // CheckLevel::Cycle pins the event engine to single-stepping (the
-    // checker audits every cycle), so this differential confirms the
-    // engine knob changes nothing when fast-forward is gated off.
+    // CheckLevel::Cycle pins the run to single-stepping (the checker
+    // audits every cycle), so the checked run is a second
+    // single-stepped oracle for the plain fast-forwarded run.
     let presets = presets();
-    for seed in 0..6u64 {
-        let mut rng = Rng::new(seed);
-        let program = random_program(&mut rng);
-        let (trace, _) = trace_program(&program).expect("valid program");
-        let packed = PackedTrace::from_ops(&trace);
+    for (seed, packed) in random_traces(0..6) {
         for (name, cfg) in &presets {
-            let checked = cfg.clone().with_check_level(CheckLevel::Cycle);
-            let ticked = run(&checked, Engine::Ticked, &packed);
-            let event = run(&checked, Engine::Event, &packed);
+            let fast = run(cfg, &packed);
+            let checked = run(&cfg.clone().with_check_level(CheckLevel::Cycle), &packed);
             assert_eq!(
-                ticked.stats, event.stats,
-                "seed {seed} preset {name}: engines diverged under the checker"
+                fast.stats, checked.stats,
+                "seed {seed} preset {name}: the cycle-checked run diverged"
             );
             assert_eq!(
-                event.ff,
-                mcl_core::FastForward::default(),
+                checked.ff,
+                FastForward::default(),
                 "seed {seed} preset {name}: cycle-level checking must disable fast-forward"
             );
         }
@@ -184,49 +196,30 @@ fn engines_agree_under_the_cycle_level_checker() {
 
 #[test]
 fn critpath_attribution_is_engine_invariant() {
-    // An attached probe forces single-stepping in both engines
-    // (fast-forward would skip the per-cycle hook points), so the
-    // instrumented runs must agree with each other and with the
-    // unprobed stats, and the critical-path attributions must match
-    // exactly.
+    // An attached probe forces single-stepping (fast-forward would skip
+    // the per-cycle hook points), so the instrumented run must agree
+    // with the fast-forwarded unprobed stats, and its critical-path
+    // attribution must sum exactly to the cycle count.
     let presets = presets();
-    for seed in 0..6u64 {
-        let mut rng = Rng::new(seed);
-        let program = random_program(&mut rng);
-        let (trace, _) = trace_program(&program).expect("valid program");
-        let packed = PackedTrace::from_ops(&trace);
+    for (seed, packed) in random_traces(0..6) {
         for (name, cfg) in &presets {
-            let mut attributions = Vec::new();
-            let mut stats: Vec<SimStats> = Vec::new();
-            for engine in [Engine::Ticked, Engine::Event] {
-                let unprobed = run(cfg, engine, &packed);
-                let mut probe = CritPathProbe::new();
-                let observed = Processor::new(cfg.clone().with_engine(engine))
-                    .run_packed_observed(&packed, &mut probe)
-                    .expect("runs");
-                assert_eq!(
-                    observed.stats, unprobed.stats,
-                    "seed {seed} preset {name} {engine:?}: probe perturbed the run"
-                );
-                assert_eq!(
-                    observed.ff,
-                    mcl_core::FastForward::default(),
-                    "seed {seed} preset {name} {engine:?}: probes must disable fast-forward"
-                );
-                let attr = probe.attribution(observed.stats.cycles);
-                attr.check_identity(observed.stats.cycles)
-                    .unwrap_or_else(|e| panic!("seed {seed} preset {name} {engine:?}: {e}"));
-                attributions.push(attr);
-                stats.push(observed.stats);
-            }
+            let unprobed = run(cfg, &packed);
+            let mut probe = CritPathProbe::new();
+            let observed =
+                Processor::new(cfg.clone()).run_packed_observed(&packed, &mut probe).expect("runs");
             assert_eq!(
-                stats[0], stats[1],
-                "seed {seed} preset {name}: probed engines diverged"
+                observed.stats, unprobed.stats,
+                "seed {seed} preset {name}: probe perturbed the run"
             );
             assert_eq!(
-                attributions[0], attributions[1],
-                "seed {seed} preset {name}: critical-path attributions diverged"
+                observed.ff,
+                FastForward::default(),
+                "seed {seed} preset {name}: probes must disable fast-forward"
             );
+            probe
+                .attribution(observed.stats.cycles)
+                .check_identity(observed.stats.cycles)
+                .unwrap_or_else(|e| panic!("seed {seed} preset {name}: {e}"));
         }
     }
 }
