@@ -168,7 +168,12 @@ fn main() -> ExitCode {
     let divisor: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
 
     if cmd == "pipeline" {
-        return match run_pipeline(args.get(1).map_or("compress", String::as_str)) {
+        let name = args.get(1).map_or("compress", String::as_str);
+        let result = match Benchmark::ALL.iter().find(|b| b.name() == name) {
+            Some(&bench) => run_pipeline(bench).map_err(|e| e.to_string()),
+            None => Err(format!("unknown benchmark `{name}`")),
+        };
+        return match result {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -246,7 +251,17 @@ fn main() -> ExitCode {
                 .map_or_else(|| PathBuf::from("critpath_out"), |s| s.dir.clone());
             options.explain =
                 Some((dir.display().to_string(), baseline.map(|b| b.name().to_owned())));
-            plan_explain(&mut plan, &store, divisor, dir, baseline, mcl_only().as_deref());
+            plan_per_bench(
+                &mut plan,
+                "explain",
+                mcl_only().as_deref(),
+                Some("Critical-path cycle-loss attribution (dual-cluster, local scheduler)"),
+                &store,
+                divisor,
+                move |store, bench, scale| {
+                    explain::explain_cell(store, bench, scale, &dir, baseline)
+                },
+            );
         }
         "profile" => {
             let dir = options
@@ -254,7 +269,17 @@ fn main() -> ExitCode {
                 .as_ref()
                 .map_or_else(|| PathBuf::from("hostprof_out"), |s| s.dir.clone());
             options.profile = Some(dir.display().to_string());
-            plan_profile(&mut plan, &store, divisor, dir, mcl_only().as_deref());
+            plan_per_bench(
+                &mut plan,
+                "profile",
+                mcl_only().as_deref(),
+                Some("Engine phase-cost profile (dual-cluster, local scheduler)"),
+                &store,
+                divisor,
+                move |store, bench, scale| {
+                    mcl_bench::profile::profile_cell(store, bench, scale, &dir)
+                },
+            );
         }
         "pipetrace" => {
             let dir = out_dir.map(PathBuf::from).unwrap_or_else(|| {
@@ -272,7 +297,17 @@ fn main() -> ExitCode {
                 range_str,
                 baseline.map(|b| b.name().to_owned()),
             ));
-            plan_pipetrace(&mut plan, &store, divisor, dir, range, baseline, mcl_only().as_deref());
+            plan_per_bench(
+                &mut plan,
+                "pipetrace",
+                mcl_only().as_deref(),
+                Some("Per-instruction pipeline lifecycle trace (dual-cluster, local scheduler)"),
+                &store,
+                divisor,
+                move |store, bench, scale| {
+                    mcl_bench::pipetrace::pipetrace_cell(store, bench, scale, &dir, range, baseline)
+                },
+            );
         }
         "all" => plan_all(&mut plan, &store, divisor, options.obs.as_ref()),
         other => {
@@ -697,39 +732,6 @@ fn plan_fig6(plan: &mut Plan) {
     );
 }
 
-/// The common shape of the sweep ablations (A1/A2/A3/A6): one cell per
-/// benchmark, each rendering its own sweep table.
-fn plan_sweep(
-    plan: &mut Plan,
-    id: &str,
-    store: &Arc<TraceStore>,
-    divisor: u32,
-    sweep: impl Fn(&TraceStore, Benchmark, u32) -> Result<(String, CellCost), mcl_bench::Error>
-        + Send
-        + Clone
-        + 'static,
-) {
-    let cells = Benchmark::ALL
-        .iter()
-        .map(|&bench| {
-            let sweep = sweep.clone();
-            let store = Arc::clone(store);
-            Cell::new(format!("{id}/{bench}"), move || {
-                let (rendered, cost) = sweep(&store, bench, bench.scaled(divisor))?;
-                Ok((Payload::Text(rendered), cost))
-            })
-        })
-        .collect();
-    plan.section(
-        cells,
-        Box::new(|ps| {
-            for p in ps {
-                println!("{}", text(p));
-            }
-        }),
-    );
-}
-
 /// Exports the family-representative instrumented companion of one
 /// ablation cell (`--obs` on `repro ablate-*`): the sweep's statistics
 /// come from the ordinary uninstrumented runs; the export covers one
@@ -759,7 +761,7 @@ fn observe_ablate(
 
 fn plan_ablate_buffers(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<&ObsSettings>) {
     let obs = obs.cloned();
-    plan_sweep(plan, "ablate-buffers", store, divisor, move |store, bench, scale| {
+    plan_per_bench(plan, "ablate-buffers", None, None, store, divisor, move |store, bench, scale| {
         let (points, cost) = ablate::buffers(store, bench, scale, &[1, 2, 4, 8, 16, 32])?;
         observe_ablate(
             store,
@@ -781,7 +783,7 @@ fn plan_ablate_buffers(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, o
 
 fn plan_ablate_threshold(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<&ObsSettings>) {
     let obs = obs.cloned();
-    plan_sweep(plan, "ablate-threshold", store, divisor, move |store, bench, scale| {
+    plan_per_bench(plan, "ablate-threshold", None, None, store, divisor, move |store, bench, scale| {
         let (points, cost) =
             ablate::threshold(store, bench, scale, &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0])?;
         observe_ablate(
@@ -804,7 +806,7 @@ fn plan_ablate_threshold(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32,
 
 fn plan_ablate_dq(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<&ObsSettings>) {
     let obs = obs.cloned();
-    plan_sweep(plan, "ablate-dq", store, divisor, move |store, bench, scale| {
+    plan_per_bench(plan, "ablate-dq", None, None, store, divisor, move |store, bench, scale| {
         let (points, cost) = ablate::dq_single(store, bench, scale, &[16, 32, 64, 128, 256])?;
         observe_ablate(
             store,
@@ -826,7 +828,7 @@ fn plan_ablate_dq(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: O
 
 fn plan_ablate_unroll(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<&ObsSettings>) {
     let obs = obs.cloned();
-    plan_sweep(plan, "ablate-unroll", store, divisor, move |store, bench, scale| {
+    plan_per_bench(plan, "ablate-unroll", None, None, store, divisor, move |store, bench, scale| {
         let (points, cost) = ablate::unroll(store, bench, scale, &[1, 2, 4])?;
         observe_ablate(
             store,
@@ -1027,26 +1029,30 @@ fn plan_selftest(plan: &mut Plan, divisor: u32) {
     );
 }
 
-/// Adds one explain cell per benchmark: the critical-path attribution
-/// of the dual-cluster/local run (differential against `baseline` when
-/// given), exporting `<bench>.critpath.json` into `dir`.
-fn plan_explain(
+/// Adds one cell per benchmark, named `<id>/<bench>` and restricted to
+/// `only` when given: `cell` runs one benchmark at its scaled size, and
+/// the section prints `heading` (when given) above every cell's report.
+/// The ablation sweeps (A1/A2/A3/A6) and the diagnose tools share it.
+fn plan_per_bench(
     plan: &mut Plan,
+    id: &str,
+    only: Option<&str>,
+    heading: Option<&'static str>,
     store: &Arc<TraceStore>,
     divisor: u32,
-    dir: PathBuf,
-    baseline: Option<Baseline>,
-    only: Option<&str>,
+    cell: impl Fn(&TraceStore, Benchmark, u32) -> Result<(String, CellCost), mcl_bench::Error>
+        + Send
+        + Clone
+        + 'static,
 ) {
     let cells = Benchmark::ALL
         .iter()
         .filter(|b| only.is_none_or(|name| b.name() == name))
         .map(|&bench| {
             let store = Arc::clone(store);
-            let dir = dir.clone();
-            Cell::new(format!("explain/{bench}"), move || {
-                let (rendered, cost) =
-                    explain::explain_cell(&store, bench, bench.scaled(divisor), &dir, baseline)?;
+            let cell = cell.clone();
+            Cell::new(format!("{id}/{bench}"), move || {
+                let (rendered, cost) = cell(&store, bench, bench.scaled(divisor))?;
                 Ok((Payload::Text(rendered), cost))
             })
         })
@@ -1054,84 +1060,9 @@ fn plan_explain(
     plan.section(
         cells,
         Box::new(move |ps| {
-            println!("Critical-path cycle-loss attribution (dual-cluster, local scheduler)\n");
-            for p in ps {
-                println!("{}", text(p));
+            if let Some(heading) = heading {
+                println!("{heading}\n");
             }
-        }),
-    );
-}
-
-/// Adds one pipetrace cell per benchmark: the per-instruction lifecycle
-/// trace of the dual-cluster/local run (differential against `baseline`
-/// when given), exporting `<bench>.konata` and `<bench>.pipetrace.json`
-/// into `dir`.
-fn plan_pipetrace(
-    plan: &mut Plan,
-    store: &Arc<TraceStore>,
-    divisor: u32,
-    dir: PathBuf,
-    range: (u64, u64),
-    baseline: Option<Baseline>,
-    only: Option<&str>,
-) {
-    let cells = Benchmark::ALL
-        .iter()
-        .filter(|b| only.is_none_or(|name| b.name() == name))
-        .map(|&bench| {
-            let store = Arc::clone(store);
-            let dir = dir.clone();
-            Cell::new(format!("pipetrace/{bench}"), move || {
-                let (rendered, cost) = mcl_bench::pipetrace::pipetrace_cell(
-                    &store,
-                    bench,
-                    bench.scaled(divisor),
-                    &dir,
-                    range,
-                    baseline,
-                )?;
-                Ok((Payload::Text(rendered), cost))
-            })
-        })
-        .collect();
-    plan.section(
-        cells,
-        Box::new(move |ps| {
-            println!("Per-instruction pipeline lifecycle trace (dual-cluster, local scheduler)\n");
-            for p in ps {
-                println!("{}", text(p));
-            }
-        }),
-    );
-}
-
-/// Adds one profile cell per benchmark: the host phase-cost profile of
-/// the dual-cluster/local run, fast-forward included, exporting
-/// `<bench>.hostprof.json` into `dir`.
-fn plan_profile(
-    plan: &mut Plan,
-    store: &Arc<TraceStore>,
-    divisor: u32,
-    dir: PathBuf,
-    only: Option<&str>,
-) {
-    let cells = Benchmark::ALL
-        .iter()
-        .filter(|b| only.is_none_or(|name| b.name() == name))
-        .map(|&bench| {
-            let store = Arc::clone(store);
-            let dir = dir.clone();
-            Cell::new(format!("profile/{bench}"), move || {
-                let (rendered, cost) =
-                    mcl_bench::profile::profile_cell(&store, bench, bench.scaled(divisor), &dir)?;
-                Ok((Payload::Text(rendered), cost))
-            })
-        })
-        .collect();
-    plan.section(
-        cells,
-        Box::new(move |ps| {
-            println!("Engine phase-cost profile (dual-cluster, local scheduler, event engine)\n");
             for p in ps {
                 println!("{}", text(p));
             }
@@ -1165,26 +1096,22 @@ fn plan_all(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<
     plan_mix(plan, divisor);
 }
 
-fn run_pipeline(bench_name: &str) -> Result<(), mcl_bench::Error> {
-    use mcl_core::{render_pipeline, PipeViewOptions, Processor, ProcessorConfig};
+fn run_pipeline(bench: Benchmark) -> Result<(), mcl_bench::Error> {
+    use mcl_core::{render_pipeline, EventLog, PipeViewOptions, Processor, ProcessorConfig};
     use mcl_isa::assign::RegisterAssignment;
     use mcl_sched::SchedulerKind;
     use mcl_trace::vm::trace_program_packed;
 
-    let Some(bench) = Benchmark::ALL.iter().find(|b| b.name() == bench_name) else {
-        eprintln!("unknown benchmark `{bench_name}`");
-        return Ok(());
-    };
     let il = bench.build((bench.default_scale() / 100).max(1));
     let assign = RegisterAssignment::even_odd_with_default_globals(2);
     let scheduled = mcl_sched::SchedulePipeline::new(SchedulerKind::Local, &assign)
         .run(&il)
         .map_err(mcl_bench::Error::Schedule)?;
     let (trace, _) = trace_program_packed(&scheduled.program, 0).map_err(mcl_bench::Error::Vm)?;
-    let result = Processor::new(ProcessorConfig::dual_cluster_8way().with_events())
-        .run_packed(&trace)
+    let mut events = EventLog::new();
+    Processor::new(ProcessorConfig::dual_cluster_8way())
+        .run_packed_observed(&trace, &mut events)
         .map_err(mcl_bench::Error::Sim)?;
-    let events = result.events.expect("events enabled");
     // Show a steady-state window of 48 instructions.
     let mid = (trace.len() as u64 / 2).max(1);
     println!(

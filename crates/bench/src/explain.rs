@@ -26,11 +26,12 @@
 
 use std::path::Path;
 
-use mcl_core::{CritAttribution, CritCause, CritPathProbe, Processor, ProcessorConfig};
+use mcl_core::{CritAttribution, CritCause, CritPathProbe, ProcessorConfig};
 use mcl_sched::SchedulerKind;
 use mcl_workloads::Benchmark;
 
 use crate::json::Json;
+use crate::obs::companion;
 use crate::runner::CellCost;
 use crate::store::TraceRequest;
 use crate::{Error, TraceStore};
@@ -123,25 +124,10 @@ fn attribute_run(
     labels: (&'static str, &'static str),
     cost: &mut CellCost,
 ) -> Result<AttributedRun, Error> {
-    let expected = store.sim(req, cfg)?;
-    cost.charge_sim(&expected);
-    let (trace, _) = store.trace(req)?;
     let mut probe = CritPathProbe::new();
-    let observed = Processor::new(cfg.clone())
-        .run_packed_observed(&trace, &mut probe)
-        .map_err(Error::Sim)?;
-    // Observe, never perturb: the companion's cycles are deliberately
-    // not charged, so report aggregates match a probe-free run.
-    if observed.stats != expected.stats {
-        return Err(explain_err(
-            stem,
-            format!(
-                "instrumented run diverged from the store run ({} vs {} cycles) — \
-                 probes must not affect simulation",
-                observed.stats.cycles, expected.stats.cycles
-            ),
-        ));
-    }
+    let (observed, _) = companion(store, req, cfg, cost, ("critpath", stem), |p, trace| {
+        p.run_packed_observed(trace, &mut probe)
+    })?;
     let attr = probe.attribution(observed.stats.cycles);
     attr.check_identity(observed.stats.cycles).map_err(|e| explain_err(stem, e))?;
     if attr.retired != observed.stats.retired {

@@ -27,14 +27,17 @@
 //! [`Json::parse`] and checks the schema (`repro obs-validate`).
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use mcl_core::obs::{EventRing, ObsConfig, ObsProbe, StallCause};
 use mcl_core::events::EventKind;
-use mcl_core::{PipeViewOptions, Processor, ProcessorConfig, SimError};
+use mcl_core::{PipeViewOptions, Processor, ProcessorConfig, SimError, SimResult, SimStats};
 use mcl_sched::SchedulerKind;
+use mcl_trace::PackedTrace;
 use mcl_workloads::Benchmark;
 
 use crate::json::Json;
+use crate::runner::CellCost;
 use crate::store::TraceRequest;
 use crate::{Error, TraceStore};
 
@@ -143,12 +146,12 @@ pub fn observe_scenario(
     )
 }
 
-/// The shared export path: instrumented run, byte-identity cross-check
-/// against `expected`, series + Chrome trace written under the stem.
+/// The shared export path: checked instrumented run against
+/// `expected`, series + Chrome trace written under the stem.
 fn observe_trace(
-    trace: &mcl_trace::PackedTrace,
+    trace: &PackedTrace,
     cfg: &ProcessorConfig,
-    expected: &mcl_core::SimStats,
+    expected: &SimStats,
     target: ObsTarget<'_>,
     settings: &ObsSettings,
 ) -> Result<Vec<String>, Error> {
@@ -159,10 +162,12 @@ fn observe_trace(
     std::fs::create_dir_all(&settings.dir)
         .map_err(|e| obs_err(&format!("creating {}", settings.dir.display()), e))?;
 
-    let observed = match Processor::new(cfg.clone()).run_packed_observed(trace, &mut probe) {
-        Ok(result) => result,
-        Err(e) => {
-            probe.finish();
+    let observed = check_companion(trace, cfg, expected, ("obs", target.stem), |p, trace| {
+        p.run_packed_observed(trace, &mut probe)
+    });
+    probe.finish();
+    let observed = match observed {
+        Err(Error::Sim(e)) => {
             let name = format!("{}.postmortem.txt", target.stem);
             let rendered = render_postmortem(target.stem, &e, probe.ring());
             let path = settings.dir.join(&name);
@@ -170,21 +175,8 @@ fn observe_trace(
                 .map_err(|io| obs_err(&format!("writing {}", path.display()), io))?;
             return Err(Error::Sim(e));
         }
+        other => other?,
     };
-    probe.finish();
-
-    // The probe must have observed, never perturbed: the instrumented
-    // statistics must equal the uninstrumented run bit for bit.
-    if observed.stats != *expected {
-        return Err(obs_err(
-            "probe perturbation",
-            format!(
-                "{}: instrumented run diverged from the reference run \
-                 ({} vs {} cycles) — probes must not affect simulation",
-                target.stem, observed.stats.cycles, expected.cycles
-            ),
-        ));
-    }
 
     let series_name = format!("{}.series.json", target.stem);
     let trace_name = format!("{}.trace.json", target.stem);
@@ -196,6 +188,78 @@ fn observe_trace(
             .map_err(|e| obs_err(&format!("writing {}", path.display()), e))?;
     }
     Ok(vec![series_name, trace_name])
+}
+
+/// What a companion run returns: a probed run's [`SimResult`], or the
+/// `(SimResult, report)` pair of [`Processor::run_packed_profiled`].
+pub(crate) trait CompanionResult {
+    /// The statistics that must equal the reference run's.
+    fn stats(&self) -> &SimStats;
+}
+
+impl CompanionResult for SimResult {
+    fn stats(&self) -> &SimStats {
+        &self.stats
+    }
+}
+
+impl<R> CompanionResult for (SimResult, R) {
+    fn stats(&self) -> &SimStats {
+        &self.0.stats
+    }
+}
+
+/// Runs the checked companion of one store cell: charges the store's
+/// uninstrumented `(req, cfg)` run to `cost`, runs `run` — a probed run
+/// or [`Processor::run_packed_profiled`] — on the store-served trace,
+/// and demands the store's statistics back bit for bit (observe, never
+/// perturb). The companion's own cycles are not charged, so report
+/// aggregates match a run without it. `explain`, `pipetrace`,
+/// `profile` and the selftest identity stages run their companions
+/// through here; `--obs` uses [`check_companion`] directly.
+///
+/// Returns the companion's result and the served trace.
+///
+/// # Errors
+///
+/// A [`SimError`] comes back unchanged as [`Error::Sim`]; a divergence
+/// is an [`Error::Obs`] naming `tool`, `cell` and both cycle counts;
+/// harness errors propagate.
+pub(crate) fn companion<R: CompanionResult>(
+    store: &TraceStore,
+    req: &TraceRequest,
+    cfg: &ProcessorConfig,
+    cost: &mut CellCost,
+    names: (&str, &str),
+    run: impl FnOnce(&mut Processor, &PackedTrace) -> Result<R, SimError>,
+) -> Result<(R, Arc<PackedTrace>), Error> {
+    let expected = store.sim(req, cfg)?;
+    cost.charge_sim(&expected);
+    let (trace, _) = store.trace(req)?;
+    let result = check_companion(&trace, cfg, &expected.stats, names, run)?;
+    Ok((result, trace))
+}
+
+/// The check behind [`companion`], against given reference statistics
+/// (the `--obs` exports pass the store's, or a fresh run's for a
+/// scenario program).
+fn check_companion<R: CompanionResult>(
+    trace: &PackedTrace,
+    cfg: &ProcessorConfig,
+    expected: &SimStats,
+    (tool, cell): (&str, &str),
+    run: impl FnOnce(&mut Processor, &PackedTrace) -> Result<R, SimError>,
+) -> Result<R, Error> {
+    let result = run(&mut Processor::new(cfg.clone()), trace).map_err(Error::Sim)?;
+    let observed = result.stats();
+    if observed != expected {
+        return Err(Error::Obs(format!(
+            "{tool} {cell}: companion run diverged from the reference run \
+             ({} vs {} cycles) — observation must not affect simulation",
+            observed.cycles, expected.cycles
+        )));
+    }
+    Ok(result)
 }
 
 fn render_postmortem(stem: &str, error: &SimError, ring: &EventRing) -> String {
@@ -452,6 +516,23 @@ pub(crate) fn validate_trace(path: &Path) -> Result<usize, Error> {
     Ok(events.len())
 }
 
+/// Validates one export file, returning the Chrome trace events it
+/// counted toward the [`validate_dir`] summary (zero for other kinds).
+type Validator = fn(&Path) -> Result<usize, Error>;
+
+/// The export kinds [`validate_dir`] checks, by file-name suffix. The
+/// first matching suffix wins, so `.flight.json` precedes `.trace.json`
+/// and a flight recording never trips the series/trace pairing rule.
+const EXPORT_KINDS: [(&str, Validator); 7] = [
+    (".series.json", |p| validate_series(p).map(|()| 0)),
+    (".flight.json", |p| crate::flight::validate_flight(p).map(|_| 0)),
+    (".pipetrace.json", |p| crate::pipetrace::validate_pipetrace(p).map(|()| 0)),
+    (".konata", |p| crate::pipetrace::validate_konata(p).map(|()| 0)),
+    (".trace.json", validate_trace),
+    (".critpath.json", |p| crate::explain::validate_critpath(p).map(|()| 0)),
+    (".hostprof.json", |p| crate::profile::validate_hostprof(p).map(|()| 0)),
+];
+
 /// Validates a directory of exports: every `*.series.json` and
 /// `*.trace.json` (from `--obs`), every `*.critpath.json` (from
 /// `repro explain`), every `*.hostprof.json` (from `repro profile`),
@@ -478,35 +559,20 @@ pub fn validate_dir(dir: &Path) -> Result<String, Error> {
         .map(|e| e.path())
         .collect();
     names.sort();
-    let (mut series, mut traces, mut trace_events, mut critpaths) = (0usize, 0usize, 0usize, 0usize);
-    let (mut hostprofs, mut flights, mut pipetraces, mut konatas) = (0usize, 0usize, 0usize, 0usize);
     // Validation failures accumulate: a directory with three broken
     // exports reports all three, not just the first one hit.
     let mut failures: Vec<String> = Vec::new();
-    let mut check = |counter: &mut usize, result: Result<(), Error>| {
-        *counter += 1;
-        if let Err(e) = result {
-            failures.push(e.to_string());
-        }
-    };
+    let mut counts = [0usize; EXPORT_KINDS.len()];
+    let mut trace_events = 0;
     for path in &names {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        if name.ends_with(".series.json") {
-            check(&mut series, validate_series(path));
-        } else if name.ends_with(".flight.json") {
-            // Checked before `.trace.json` so a flight recording never
-            // trips the series/trace pairing rule below.
-            check(&mut flights, crate::flight::validate_flight(path).map(|_| ()));
-        } else if name.ends_with(".pipetrace.json") {
-            check(&mut pipetraces, crate::pipetrace::validate_pipetrace(path));
-        } else if name.ends_with(".konata") {
-            check(&mut konatas, crate::pipetrace::validate_konata(path));
-        } else if name.ends_with(".trace.json") {
-            check(&mut traces, validate_trace(path).map(|n| trace_events += n));
-        } else if name.ends_with(".critpath.json") {
-            check(&mut critpaths, crate::explain::validate_critpath(path));
-        } else if name.ends_with(".hostprof.json") {
-            check(&mut hostprofs, crate::profile::validate_hostprof(path));
+        let Some(kind) = EXPORT_KINDS.iter().position(|(suffix, _)| name.ends_with(suffix)) else {
+            continue;
+        };
+        counts[kind] += 1;
+        match (EXPORT_KINDS[kind].1)(path) {
+            Ok(events) => trace_events += events,
+            Err(e) => failures.push(e.to_string()),
         }
     }
     if !failures.is_empty() {
@@ -515,20 +581,14 @@ pub fn validate_dir(dir: &Path) -> Result<String, Error> {
             format!("{} invalid export(s):\n  {}", failures.len(), failures.join("\n  ")),
         ));
     }
-    if series == 0
-        && traces == 0
-        && critpaths == 0
-        && hostprofs == 0
-        && flights == 0
-        && pipetraces == 0
-        && konatas == 0
-    {
+    if counts.iter().all(|&n| n == 0) {
         return Err(obs_err(
             &format!("{}", dir.display()),
             "no observability exports found (empty or missing exports are a failure, \
              not a vacuous pass)",
         ));
     }
+    let [series, flights, pipetraces, konatas, traces, critpaths, hostprofs] = counts;
     // `--obs` always writes series and trace files in pairs; a lone kind
     // means a partial or corrupted export run.
     if (series == 0) != (traces == 0) {

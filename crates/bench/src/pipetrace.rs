@@ -32,13 +32,14 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use mcl_core::{PipeTrace, PipeTraceProbe, Processor, ProcessorConfig, TransferKind};
+use mcl_core::{PipeTrace, PipeTraceProbe, ProcessorConfig, TransferKind};
 use mcl_sched::SchedulerKind;
 use mcl_trace::PackedTrace;
 use mcl_workloads::Benchmark;
 
 use crate::explain::Baseline;
 use crate::json::Json;
+use crate::obs::companion;
 use crate::runner::CellCost;
 use crate::store::TraceRequest;
 use crate::{Error, TraceStore};
@@ -96,25 +97,10 @@ fn traced_run(
     range: (u64, u64),
     cost: &mut CellCost,
 ) -> Result<TracedRun, Error> {
-    let expected = store.sim(req, cfg)?;
-    cost.charge_sim(&expected);
-    let (trace, _) = store.trace(req)?;
     let mut probe = PipeTraceProbe::new(range.0, range.1);
-    let observed = Processor::new(cfg.clone())
-        .run_packed_observed(&trace, &mut probe)
-        .map_err(Error::Sim)?;
-    // Observe, never perturb: the companion's cycles are deliberately
-    // not charged, so report aggregates match a probe-free run.
-    if observed.stats != expected.stats {
-        return Err(pt_err(
-            stem,
-            format!(
-                "instrumented run diverged from the store run ({} vs {} cycles) — \
-                 probes must not affect simulation",
-                observed.stats.cycles, expected.stats.cycles
-            ),
-        ));
-    }
+    let (observed, trace) = companion(store, req, cfg, cost, ("pipetrace", stem), |p, trace| {
+        p.run_packed_observed(trace, &mut probe)
+    })?;
     let pipetrace = probe.finish();
     pipetrace.check_identity(observed.stats.retired).map_err(|e| pt_err(stem, e))?;
     Ok(TracedRun {

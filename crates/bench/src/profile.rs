@@ -23,11 +23,12 @@
 use std::path::Path;
 
 use mcl_core::obs::hostprof::HOSTPROF_SLOP_NS;
-use mcl_core::{HostPhase, HostProfReport, Processor, ProcessorConfig};
+use mcl_core::{HostPhase, HostProfReport, ProcessorConfig};
 use mcl_sched::SchedulerKind;
 use mcl_workloads::Benchmark;
 
 use crate::json::Json;
+use crate::obs::companion;
 use crate::runner::CellCost;
 use crate::store::TraceRequest;
 use crate::{Error, TraceStore};
@@ -48,24 +49,9 @@ fn profiled_run(
     cfg: &ProcessorConfig,
     cost: &mut CellCost,
 ) -> Result<HostProfReport, Error> {
-    let expected = store.sim(req, cfg)?;
-    cost.charge_sim(&expected);
-    let (trace, _) = store.trace(req)?;
-    let (result, report) = Processor::new(cfg.clone())
-        .run_packed_profiled(&trace)
-        .map_err(Error::Sim)?;
-    // Observe, never perturb: a profiler only reads the host clock, so
-    // the simulated machine must be bit-identical to the unprofiled run.
-    if result.stats != expected.stats {
-        return Err(profile_err(
-            stem,
-            format!(
-                "profiled run diverged from the store run ({} vs {} cycles) — \
-                 host profiling must not affect simulation",
-                result.stats.cycles, expected.stats.cycles
-            ),
-        ));
-    }
+    let ((_, report), _) = companion(store, req, cfg, cost, ("hostprof", stem), |p, trace| {
+        p.run_packed_profiled(trace)
+    })?;
     report.check_identity().map_err(|e| profile_err(stem, e))?;
     if report.live_cycles > report.cycles {
         return Err(profile_err(

@@ -1,7 +1,7 @@
 //! Figures 2–5: cycle-by-cycle timelines of the dual-execution
 //! scenarios.
 
-use mcl_core::{Processor, ProcessorConfig};
+use mcl_core::{EventLog, Processor, ProcessorConfig};
 use mcl_trace::vm::trace_program_packed;
 use mcl_workloads::scenarios::{all, Scenario};
 
@@ -24,7 +24,7 @@ pub struct ScenarioTimeline {
 }
 
 /// Runs every scenario program on the paper's dual-cluster machine with
-/// event recording and extracts the add's timeline.
+/// an [`EventLog`] probe attached and extracts the add's timeline.
 ///
 /// # Errors
 ///
@@ -35,9 +35,9 @@ pub fn run_all() -> Result<Vec<ScenarioTimeline>, Error> {
 
 fn run_one(s: Scenario) -> Result<ScenarioTimeline, Error> {
     let (trace, _) = trace_program_packed(&s.program, 0)?;
-    let result = Processor::new(ProcessorConfig::dual_cluster_8way().with_events())
-        .run_packed(&trace)?;
-    let events = result.events.expect("events enabled");
+    let mut events = EventLog::new();
+    let result = Processor::new(ProcessorConfig::dual_cluster_8way())
+        .run_packed_observed(&trace, &mut events)?;
     Ok(ScenarioTimeline {
         number: s.number,
         figure: s.figure,

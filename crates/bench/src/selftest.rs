@@ -174,17 +174,42 @@ pub fn jobs_agree(divisor: u32) -> Result<(String, CellCost), Error> {
     Ok((format!("{} cells agree between --jobs 1 and --jobs 4", serial.len()), cost))
 }
 
-/// Every repro benchmark, on every machine preset, must satisfy the
-/// stall-accounting identity documented on
-/// [`mcl_core::stats::SimStats`]: total cycles = dispatching cycles +
-/// drain cycles + the six stall counters, i.e. the simulator charged
-/// every cycle to exactly one bucket.
-///
-/// # Errors
-///
-/// [`Error::SelfCheck`] naming the first unbalanced cell; harness
-/// errors propagate.
-pub fn stall_identity(divisor: u32) -> Result<(String, CellCost), Error> {
+/// One cell of the identity matrix that [`stall_identity`] and the
+/// companion identity stages walk.
+struct MatrixCell<'a> {
+    stage: &'a str,
+    store: &'a TraceStore,
+    req: TraceRequest,
+    cfg: &'a ProcessorConfig,
+    /// `bench/Scheduler/preset`, as failures name the cell.
+    label: String,
+}
+
+impl MatrixCell<'_> {
+    fn fail(&self, detail: impl std::fmt::Display) -> Error {
+        mismatch(self.stage, format!("{}: {detail}", self.label))
+    }
+
+    /// The cell's checked companion run (see [`crate::obs::companion`]).
+    fn companion<R: crate::obs::CompanionResult>(
+        &self,
+        cost: &mut CellCost,
+        run: impl FnOnce(&mut Processor, &PackedTrace) -> Result<R, SimError>,
+    ) -> Result<R, Error> {
+        let names = (self.stage, self.label.as_str());
+        crate::obs::companion(self.store, &self.req, self.cfg, cost, names, run).map(|(r, _)| r)
+    }
+}
+
+/// Runs `check` on every benchmark × scheduler (naive, local) × machine
+/// preset (single, dual, and a dual machine with one-entry transfer
+/// buffers, which forces replay exceptions) from one fresh
+/// [`TraceStore`]; returns the cell count and the accumulated cost.
+fn identity_matrix(
+    stage: &str,
+    divisor: u32,
+    mut check: impl FnMut(&MatrixCell<'_>, &mut CellCost) -> Result<(), Error>,
+) -> Result<(u32, CellCost), Error> {
     let mut tiny = ProcessorConfig::dual_cluster_8way();
     tiny.operand_buffer = 1;
     tiny.result_buffer = 1;
@@ -198,20 +223,38 @@ pub fn stall_identity(divisor: u32) -> Result<(String, CellCost), Error> {
     let mut cells = 0u32;
     for bench in Benchmark::ALL {
         for kind in [SchedulerKind::Naive, SchedulerKind::Local] {
-            let req = TraceRequest::new(bench, quick_scale(bench, divisor), kind);
             for (preset, cfg) in &presets {
-                let product = store.sim(&req, cfg)?;
-                cost.charge_sim(&product);
-                product.stats.check_stall_identity().map_err(|detail| {
-                    mismatch(
-                        "stall-identity",
-                        format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
-                    )
-                })?;
+                let cell = MatrixCell {
+                    stage,
+                    store: &store,
+                    req: TraceRequest::new(bench, quick_scale(bench, divisor), kind),
+                    cfg,
+                    label: format!("{}/{kind:?}/{preset}", bench.name()),
+                };
+                check(&cell, &mut cost)?;
                 cells += 1;
             }
         }
     }
+    Ok((cells, cost))
+}
+
+/// Every repro benchmark, on every machine preset, must satisfy the
+/// stall-accounting identity documented on
+/// [`mcl_core::stats::SimStats`]: total cycles = dispatching cycles +
+/// drain cycles + the six stall counters, i.e. the simulator charged
+/// every cycle to exactly one bucket.
+///
+/// # Errors
+///
+/// [`Error::SelfCheck`] naming the first unbalanced cell; harness
+/// errors propagate.
+pub fn stall_identity(divisor: u32) -> Result<(String, CellCost), Error> {
+    let (cells, cost) = identity_matrix("stall-identity", divisor, |cell, cost| {
+        let product = cell.store.sim(&cell.req, cell.cfg)?;
+        cost.charge_sim(&product);
+        product.stats.check_stall_identity().map_err(|detail| cell.fail(detail))
+    })?;
     Ok((format!("{cells} benchmark × scheduler × preset cells balance"), cost))
 }
 
@@ -225,56 +268,23 @@ pub fn stall_identity(divisor: u32) -> Result<(String, CellCost), Error> {
 ///
 /// # Errors
 ///
-/// [`Error::SelfCheck`] naming the first unbalanced or diverging cell;
-/// harness errors propagate.
+/// [`Error::SelfCheck`] naming the first unbalanced cell, or
+/// [`Error::Obs`] naming the first diverging one; harness errors
+/// propagate.
 pub fn critpath_identity(divisor: u32) -> Result<(String, CellCost), Error> {
-    use mcl_core::CritPathProbe;
-
-    let mut tiny = ProcessorConfig::dual_cluster_8way();
-    tiny.operand_buffer = 1;
-    tiny.result_buffer = 1;
-    let presets = [
-        ("single", ProcessorConfig::single_cluster_8way()),
-        ("dual", ProcessorConfig::dual_cluster_8way()),
-        ("dual-tiny-buffers", tiny),
-    ];
-    let store = TraceStore::new();
-    let mut cost = CellCost::default();
-    let mut cells = 0u32;
-    for bench in Benchmark::ALL {
-        for kind in [SchedulerKind::Naive, SchedulerKind::Local] {
-            let req = TraceRequest::new(bench, quick_scale(bench, divisor), kind);
-            for (preset, cfg) in &presets {
-                let cell = |detail: String| {
-                    mismatch(
-                        "critpath-identity",
-                        format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
-                    )
-                };
-                let product = store.sim(&req, cfg)?;
-                cost.charge_sim(&product);
-                let (trace, _) = store.trace(&req)?;
-                let mut probe = CritPathProbe::new();
-                let observed =
-                    Processor::new((*cfg).clone()).run_packed_observed(&trace, &mut probe)?;
-                if observed.stats != product.stats {
-                    return Err(cell(format!(
-                        "instrumented run diverged ({} vs {} cycles)",
-                        observed.stats.cycles, product.stats.cycles
-                    )));
-                }
-                let attr = probe.attribution(observed.stats.cycles);
-                attr.check_identity(observed.stats.cycles).map_err(cell)?;
-                if attr.retired != observed.stats.retired {
-                    return Err(cell(format!(
-                        "probe saw {} retirements, simulator reported {}",
-                        attr.retired, observed.stats.retired
-                    )));
-                }
-                cells += 1;
-            }
+    let (cells, cost) = identity_matrix("critpath-identity", divisor, |cell, cost| {
+        let mut probe = mcl_core::CritPathProbe::new();
+        let observed = cell.companion(cost, |p, trace| p.run_packed_observed(trace, &mut probe))?;
+        let attr = probe.attribution(observed.stats.cycles);
+        attr.check_identity(observed.stats.cycles).map_err(|detail| cell.fail(detail))?;
+        if attr.retired != observed.stats.retired {
+            return Err(cell.fail(format!(
+                "probe saw {} retirements, simulator reported {}",
+                attr.retired, observed.stats.retired
+            )));
         }
-    }
+        Ok(())
+    })?;
     Ok((format!("{cells} benchmark × scheduler × preset attributions balance"), cost))
 }
 
@@ -290,53 +300,19 @@ pub fn critpath_identity(divisor: u32) -> Result<(String, CellCost), Error> {
 ///
 /// # Errors
 ///
-/// [`Error::SelfCheck`] naming the first violating or diverging cell;
-/// harness errors propagate.
+/// [`Error::SelfCheck`] naming the first violating cell, or
+/// [`Error::Obs`] naming the first diverging one; harness errors
+/// propagate.
 ///
 /// The tiny-buffer preset forces replay exceptions
 /// through the probe, so flushed-incarnation bookkeeping is covered on
 /// every benchmark.
 pub fn pipetrace_identity(divisor: u32) -> Result<(String, CellCost), Error> {
-    use mcl_core::PipeTraceProbe;
-
-    let mut tiny = ProcessorConfig::dual_cluster_8way();
-    tiny.operand_buffer = 1;
-    tiny.result_buffer = 1;
-    let presets = [
-        ("single", ProcessorConfig::single_cluster_8way()),
-        ("dual", ProcessorConfig::dual_cluster_8way()),
-        ("dual-tiny-buffers", tiny),
-    ];
-    let store = TraceStore::new();
-    let mut cost = CellCost::default();
-    let mut cells = 0u32;
-    for bench in Benchmark::ALL {
-        for kind in [SchedulerKind::Naive, SchedulerKind::Local] {
-            let req = TraceRequest::new(bench, quick_scale(bench, divisor), kind);
-            for (preset, cfg) in &presets {
-                let cell = |detail: String| {
-                    mismatch(
-                        "pipetrace-identity",
-                        format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
-                    )
-                };
-                let product = store.sim(&req, cfg)?;
-                cost.charge_sim(&product);
-                let (trace, _) = store.trace(&req)?;
-                let mut probe = PipeTraceProbe::new(0, u64::MAX);
-                let observed =
-                    Processor::new((*cfg).clone()).run_packed_observed(&trace, &mut probe)?;
-                if observed.stats != product.stats {
-                    return Err(cell(format!(
-                        "instrumented run diverged ({} vs {} cycles)",
-                        observed.stats.cycles, product.stats.cycles
-                    )));
-                }
-                probe.finish().check_identity(observed.stats.retired).map_err(cell)?;
-                cells += 1;
-            }
-        }
-    }
+    let (cells, cost) = identity_matrix("pipetrace-identity", divisor, |cell, cost| {
+        let mut probe = mcl_core::PipeTraceProbe::new(0, u64::MAX);
+        let observed = cell.companion(cost, |p, trace| p.run_packed_observed(trace, &mut probe))?;
+        probe.finish().check_identity(observed.stats.retired).map_err(|detail| cell.fail(detail))
+    })?;
     Ok((format!("{cells} benchmark × scheduler × preset lifecycles exact"), cost))
 }
 
@@ -353,58 +329,27 @@ pub fn pipetrace_identity(divisor: u32) -> Result<(String, CellCost), Error> {
 ///
 /// # Errors
 ///
-/// [`Error::SelfCheck`] naming the first unbalanced or diverging cell;
-/// harness errors propagate.
+/// [`Error::SelfCheck`] naming the first unbalanced cell, or
+/// [`Error::Obs`] naming the first diverging one; harness errors
+/// propagate.
 pub fn hostprof_identity(divisor: u32) -> Result<(String, CellCost), Error> {
-    let mut tiny = ProcessorConfig::dual_cluster_8way();
-    tiny.operand_buffer = 1;
-    tiny.result_buffer = 1;
-    let presets = [
-        ("single", ProcessorConfig::single_cluster_8way()),
-        ("dual", ProcessorConfig::dual_cluster_8way()),
-        ("dual-tiny-buffers", tiny),
-    ];
-    let store = TraceStore::new();
-    let mut cost = CellCost::default();
-    let mut cells = 0u32;
-    for bench in Benchmark::ALL {
-        for kind in [SchedulerKind::Naive, SchedulerKind::Local] {
-            let req = TraceRequest::new(bench, quick_scale(bench, divisor), kind);
-            for (preset, cfg) in &presets {
-                let cell = |detail: String| {
-                    mismatch(
-                        "hostprof-identity",
-                        format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
-                    )
-                };
-                let product = store.sim(&req, cfg)?;
-                cost.charge_sim(&product);
-                let (trace, _) = store.trace(&req)?;
-                let (profiled, report) =
-                    Processor::new((*cfg).clone()).run_packed_profiled(&trace)?;
-                if profiled.stats != product.stats {
-                    return Err(cell(format!(
-                        "profiled run diverged ({} vs {} cycles)",
-                        profiled.stats.cycles, product.stats.cycles
-                    )));
-                }
-                report.check_identity().map_err(cell)?;
-                if report.cycles != profiled.stats.cycles {
-                    return Err(cell(format!(
-                        "profiler saw {} cycles, simulator reported {}",
-                        report.cycles, profiled.stats.cycles
-                    )));
-                }
-                if report.live_cycles > report.cycles {
-                    return Err(cell(format!(
-                        "{} live cycles exceed {} total cycles",
-                        report.live_cycles, report.cycles
-                    )));
-                }
-                cells += 1;
-            }
+    let (cells, cost) = identity_matrix("hostprof-identity", divisor, |cell, cost| {
+        let (profiled, report) = cell.companion(cost, |p, trace| p.run_packed_profiled(trace))?;
+        report.check_identity().map_err(|detail| cell.fail(detail))?;
+        if report.cycles != profiled.stats.cycles {
+            return Err(cell.fail(format!(
+                "profiler saw {} cycles, simulator reported {}",
+                report.cycles, profiled.stats.cycles
+            )));
         }
-    }
+        if report.live_cycles > report.cycles {
+            return Err(cell.fail(format!(
+                "{} live cycles exceed {} total cycles",
+                report.live_cycles, report.cycles
+            )));
+        }
+        Ok(())
+    })?;
     Ok((format!("{cells} benchmark × scheduler × preset profiles balance"), cost))
 }
 

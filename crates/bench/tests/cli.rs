@@ -1,7 +1,8 @@
 //! Command-line contract tests for the `repro` binary: malformed and
 //! unknown flags must fail fast with a usage error before any
-//! simulation starts, and the `pipetrace` subcommand must produce
-//! exports that its own validator (`repro obs-validate`) accepts.
+//! simulation starts; the `pipetrace` subcommand must produce exports
+//! that its own validator (`repro obs-validate`) accepts; and
+//! `repro pipeline` must reject an unknown benchmark name.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -99,5 +100,20 @@ fn unknown_flags_are_rejected_not_ignored() {
         assert!(stderr.contains(&format!("error: unknown flag {named}\n")), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed before failing");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pipeline_rejects_an_unknown_benchmark() {
+    let dir = temp_dir("pipeline");
+    let out = repro(&dir, &["pipeline", "bogus"]);
+    assert_eq!(out.status.code(), Some(1), "unknown benchmark must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: unknown benchmark `bogus`\n"), "{stderr}");
+    assert!(out.stdout.is_empty(), "printed before failing");
+    // With no argument the diagram defaults to compress and succeeds.
+    let out = repro(&dir, &["pipeline"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("pipeline view of compress"));
     let _ = std::fs::remove_dir_all(&dir);
 }

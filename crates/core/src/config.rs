@@ -60,8 +60,6 @@ pub struct ProcessorConfig {
     pub replay_penalty: u64,
     /// Hard cap on simulated cycles (guards against simulator bugs).
     pub max_cycles: u64,
-    /// Record a detailed event log (used for the Figure 2–5 timelines).
-    pub record_events: bool,
     /// Dynamic architectural-register reassignment points (the Section 6
     /// "hardware mechanism ... to permit the dynamic reassignment of the
     /// architectural registers"). When dispatch first reaches a trigger
@@ -123,7 +121,6 @@ impl ProcessorConfig {
             fetch_stops_at_taken: true,
             replay_penalty: 5,
             max_cycles: 2_000_000_000,
-            record_events: false,
             reassignments: Vec::new(),
             reassignment_penalty: 32,
             check_level: check::global_level(),
@@ -193,14 +190,6 @@ impl ProcessorConfig {
         } else {
             RegisterAssignment::even_odd_with_default_globals(self.clusters)
         }
-    }
-
-    /// Returns the configuration with event recording enabled (for
-    /// timeline reconstruction, Figures 2–5).
-    #[must_use]
-    pub fn with_events(mut self) -> ProcessorConfig {
-        self.record_events = true;
-        self
     }
 
     /// Returns the configuration with the given invariant-checking

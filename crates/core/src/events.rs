@@ -4,6 +4,8 @@ use std::fmt;
 
 use mcl_isa::ClusterId;
 
+use crate::obs::Probe;
+
 /// What happened to an instruction copy at some cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -69,11 +71,19 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// An append-only event log (enabled by
-/// [`crate::ProcessorConfig::record_events`]).
+/// An append-only event log: a [`Probe`] that records every
+/// [`Probe::event`], attached with
+/// [`crate::Processor::run_trace_observed`] or
+/// [`crate::Processor::run_packed_observed`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventLog {
     events: Vec<Event>,
+}
+
+impl Probe for EventLog {
+    fn event(&mut self, cycle: u64, seq: u64, cluster: Option<ClusterId>, kind: EventKind) {
+        self.push(cycle, seq, cluster, kind);
+    }
 }
 
 impl EventLog {

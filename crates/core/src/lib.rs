@@ -18,8 +18,9 @@
 //!   transfer buffers, suspended slave copies, instruction-replay
 //!   exceptions, non-blocking memory via the inverted-MSHR data cache,
 //!   and 8-wide in-order retire;
-//! - [`events`] — per-instruction event logs for reconstructing the
-//!   paper's Figures 2–5 timelines;
+//! - [`events`] — the per-instruction [`EventLog`], a [`Probe`] that
+//!   records the lifecycle events the paper's Figures 2–5 timelines
+//!   are drawn from;
 //! - [`stats`] — run statistics ([`SimStats::cycles`] is the paper's
 //!   metric) and the Table 2 speedup convention;
 //! - [`delay`] — the Palacharla-derived cycle-time model behind the

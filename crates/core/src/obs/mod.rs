@@ -1,9 +1,10 @@
 //! Cycle-sampled observability: probe hook points, interval sampling,
 //! latency histograms, and a bounded lifecycle event ring.
 //!
-//! The simulator is generic over a [`Probe`] that it calls at fixed hook
-//! points (dispatch, issue, forward, complete, retire, replay, and
-//! per-cycle stall attribution). The default [`NullProbe`] sets
+//! The simulator borrows a [`Probe`] that it calls at fixed hook points
+//! (dispatch, issue, forward, complete, retire, replay, per-cycle stall
+//! attribution, and the Figures 2–5 lifecycle events that
+//! [`crate::EventLog`] records). The default [`NullProbe`] sets
 //! [`Probe::ENABLED`] to `false`; every hook site is guarded by
 //! `if P::ENABLED`, a monomorphization-time constant, so the
 //! uninstrumented simulator compiles to exactly the code it had before
@@ -33,6 +34,8 @@ pub use ring::EventRing;
 pub use sampler::{IntervalSampler, Sample};
 
 use mcl_isa::ClusterId;
+
+use crate::events::EventKind;
 
 /// Which copy of a dual-distributed instruction issued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,6 +285,12 @@ pub trait Probe {
 
     /// A simulated cycle finished; `snap` is the end-of-cycle occupancy.
     fn cycle_end(&mut self, snap: &CycleSnapshot) {}
+
+    /// A lifecycle event of the paper's Figures 2–5 timelines (see
+    /// [`crate::events`]), in stage order within a cycle. Completion,
+    /// transfer-buffer and register-write events are reported at issue
+    /// time, so `cycle` may lie in the future.
+    fn event(&mut self, cycle: u64, seq: u64, cluster: Option<ClusterId>, kind: EventKind) {}
 }
 
 /// The disabled probe: all hook sites compile out.
@@ -290,88 +299,6 @@ pub struct NullProbe;
 
 impl Probe for NullProbe {
     const ENABLED: bool = false;
-}
-
-/// Forwarding implementation so an observed run can keep ownership of
-/// its probe (`sim.run()` borrows `&mut P`).
-impl<P: Probe + ?Sized> Probe for &mut P {
-    const ENABLED: bool = P::ENABLED;
-
-    fn fetched(&mut self, cycle: u64, seq: u64) {
-        (**self).fetched(cycle, seq);
-    }
-
-    fn dispatched(&mut self, cycle: u64, seq: u64, master: ClusterId, slave: Option<ClusterId>) {
-        (**self).dispatched(cycle, seq, master, slave);
-    }
-
-    fn op_dispatch_meta(
-        &mut self,
-        seq: u64,
-        sched_inserted: bool,
-        slave_receives: bool,
-        ready_floor: u64,
-        ready_known: bool,
-    ) {
-        (**self).op_dispatch_meta(seq, sched_inserted, slave_receives, ready_floor, ready_known);
-    }
-
-    fn forwarded_operand_source(&mut self, seq: u64, producer: u64) {
-        (**self).forwarded_operand_source(seq, producer);
-    }
-
-    fn operand_delivered(
-        &mut self,
-        seq: u64,
-        avail: u64,
-        source: DeliverySource,
-        producer: Option<u64>,
-    ) {
-        (**self).operand_delivered(seq, avail, source, producer);
-    }
-
-    fn issue_blocked(&mut self, cycle: u64, seq: u64, cause: IssueBlock) {
-        (**self).issue_blocked(cycle, seq, cause);
-    }
-
-    fn load_missed(&mut self, seq: u64) {
-        (**self).load_missed(seq);
-    }
-
-    fn issued(&mut self, cycle: u64, seq: u64, cluster: ClusterId, copy: CopyKind, done: u64) {
-        (**self).issued(cycle, seq, cluster, copy, done);
-    }
-
-    fn forwarded(
-        &mut self,
-        cycle: u64,
-        seq: u64,
-        kind: TransferKind,
-        phase: TransferPhase,
-        cluster: ClusterId,
-    ) {
-        (**self).forwarded(cycle, seq, kind, phase, cluster);
-    }
-
-    fn completed(&mut self, cycle: u64, seq: u64, cluster: ClusterId) {
-        (**self).completed(cycle, seq, cluster);
-    }
-
-    fn retired(&mut self, cycle: u64, seq: u64) {
-        (**self).retired(cycle, seq);
-    }
-
-    fn replayed(&mut self, cycle: u64, from_seq: u64, squashed: u64) {
-        (**self).replayed(cycle, from_seq, squashed);
-    }
-
-    fn stalled(&mut self, cycle: u64, cause: StallCause) {
-        (**self).stalled(cycle, cause);
-    }
-
-    fn cycle_end(&mut self, snap: &CycleSnapshot) {
-        (**self).cycle_end(snap);
-    }
 }
 
 #[cfg(test)]
@@ -392,7 +319,7 @@ mod tests {
     #[test]
     fn null_probe_is_disabled() {
         const { assert!(!NullProbe::ENABLED) };
-        const { assert!(!<&mut NullProbe as Probe>::ENABLED) };
-        const { assert!(<&mut ObsProbe as Probe>::ENABLED) };
+        const { assert!(ObsProbe::ENABLED) };
+        const { assert!(crate::events::EventLog::ENABLED) };
     }
 }

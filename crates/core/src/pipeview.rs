@@ -181,12 +181,12 @@ mod tests {
         b.lda(ArchReg::int(4), 1);
         b.lda(ArchReg::int(3), 2);
         b.addq(ArchReg::int(2), ArchReg::int(4), ArchReg::int(3));
-        let p = b.finish().unwrap();
-        Processor::new(ProcessorConfig::dual_cluster_8way().with_events())
-            .run_program(&p)
-            .unwrap()
-            .events
-            .unwrap()
+        let (trace, _) = mcl_trace::vm::trace_program(&b.finish().unwrap()).unwrap();
+        let mut log = EventLog::new();
+        Processor::new(ProcessorConfig::dual_cluster_8way())
+            .run_trace_observed(&trace, &mut log)
+            .unwrap();
+        log
     }
 
     #[test]

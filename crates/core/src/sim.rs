@@ -21,7 +21,7 @@ use mcl_trace::{vm::trace_program, PackedTrace, Program, TraceOp, TraceSource, V
 use crate::check::{self, CheckLevel, FaultInjection};
 use crate::config::ProcessorConfig;
 use crate::dist::{distribute, Distribution, PhysRegs};
-use crate::events::{EventKind, EventLog};
+use crate::events::EventKind;
 use crate::obs::{
     CopyKind, CycleSnapshot, DeliverySource, HostPhase, HostProf, HostProfReport, IssueBlock,
     NullHostProf, NullProbe, PhaseProf, Probe, StallCause, TransferKind, TransferPhase,
@@ -36,8 +36,6 @@ pub struct SimResult {
     /// Accumulated statistics ([`SimStats::cycles`] is the paper's
     /// metric).
     pub stats: SimStats,
-    /// The event log, when [`ProcessorConfig::record_events`] was set.
-    pub events: Option<EventLog>,
     /// Dead-cycle-skip counters (all zero for a single-stepped run).
     pub ff: FastForward,
 }
@@ -179,8 +177,7 @@ impl Processor {
     ///
     /// See [`SimError`].
     pub fn run_trace(&mut self, trace: &[TraceOp]) -> Result<SimResult, SimError> {
-        let mut sim = Sim::new(&self.config, trace);
-        sim.run()
+        Sim::new(&self.config, trace, &mut NullProbe, &mut NullHostProf).run()
     }
 
     /// Simulates a packed dynamic instruction stream (same timing model
@@ -191,8 +188,7 @@ impl Processor {
     ///
     /// See [`SimError`].
     pub fn run_packed(&mut self, trace: &PackedTrace) -> Result<SimResult, SimError> {
-        let mut sim = Sim::new(&self.config, trace);
-        sim.run()
+        Sim::new(&self.config, trace, &mut NullProbe, &mut NullHostProf).run()
     }
 
     /// Like [`Processor::run_trace`], with an observability [`Probe`]
@@ -207,8 +203,7 @@ impl Processor {
         trace: &[TraceOp],
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
-        let mut sim = Sim::with_probe(&self.config, trace, probe);
-        sim.run()
+        Sim::new(&self.config, trace, probe, &mut NullHostProf).run()
     }
 
     /// Like [`Processor::run_packed`], with an observability [`Probe`]
@@ -223,8 +218,7 @@ impl Processor {
         trace: &PackedTrace,
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
-        let mut sim = Sim::with_probe(&self.config, trace, probe);
-        sim.run()
+        Sim::new(&self.config, trace, probe, &mut NullHostProf).run()
     }
 
     /// Like [`Processor::run_packed`], with the host phase profiler
@@ -243,8 +237,7 @@ impl Processor {
         trace: &PackedTrace,
     ) -> Result<(SimResult, HostProfReport), SimError> {
         let mut prof = PhaseProf::new();
-        let mut sim = Sim::with_parts(&self.config, trace, NullProbe, &mut prof);
-        let result = sim.run()?;
+        let result = Sim::new(&self.config, trace, &mut NullProbe, &mut prof).run()?;
         let cycles = result.stats.cycles;
         Ok((result, prof.report(cycles)))
     }
@@ -561,7 +554,7 @@ enum FetchStall {
     Reassign,
 }
 
-struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = NullHostProf> {
+struct Sim<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> {
     cfg: &'a ProcessorConfig,
     assign: mcl_isa::assign::RegisterAssignment,
     trace: &'a T,
@@ -645,7 +638,6 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     /// reassignment has run since it was recorded.
     dispatch_memo: Option<DispatchMemo>,
     stats: SimStats,
-    events: Option<EventLog>,
 
     /// Set during the issue pass when a ready copy was blocked *only* by
     /// a full transfer buffer.
@@ -672,34 +664,22 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     reassign_draining: bool,
     /// Dead-cycle-skip counters (stay zero for a single-stepped run).
     ff: FastForward,
-    /// The observability probe; every call site is gated on the
-    /// monomorphization-time constant `P::ENABLED`, so the default
+    /// The borrowed observability probe; every call site is gated on
+    /// the monomorphization-time constant `P::ENABLED`, so the default
     /// [`NullProbe`] build carries no probe code at all.
-    probe: P,
-    /// The host phase profiler; gated on `H::ENABLED` the same way.
-    /// Unlike probes it never forces single-stepping — a profiled run
-    /// takes the real engine path, fast-forward included.
-    hostprof: H,
-}
-
-impl<'a, T: TraceSource + ?Sized> Sim<'a, T> {
-    fn new(cfg: &'a ProcessorConfig, trace: &'a T) -> Sim<'a, T> {
-        Sim::with_parts(cfg, trace, NullProbe, NullHostProf)
-    }
-}
-
-impl<'a, T: TraceSource + ?Sized, P: Probe> Sim<'a, T, P> {
-    fn with_probe(cfg: &'a ProcessorConfig, trace: &'a T, probe: P) -> Sim<'a, T, P> {
-        Sim::with_parts(cfg, trace, probe, NullHostProf)
-    }
+    probe: &'a mut P,
+    /// The borrowed host phase profiler; gated on `H::ENABLED` the same
+    /// way. Unlike probes it never forces single-stepping — a profiled
+    /// run takes the real engine path, fast-forward included.
+    hostprof: &'a mut H,
 }
 
 impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
-    fn with_parts(
+    fn new(
         cfg: &'a ProcessorConfig,
         trace: &'a T,
-        probe: P,
-        hostprof: H,
+        probe: &'a mut P,
+        hostprof: &'a mut H,
     ) -> Sim<'a, T, P, H> {
         let assign = cfg.register_assignment();
         let (int_free, fp_free) = free_lists_for(cfg, &assign);
@@ -744,7 +724,6 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             balance: [0; 2],
             dispatch_memo: None,
             stats: SimStats::default(),
-            events: cfg.record_events.then(EventLog::new),
             blocked_on_buffer: false,
             no_progress_cycles: 0,
             check: cfg.check_level,
@@ -761,15 +740,12 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     }
 
     fn log(&mut self, seq: u64, cluster: Option<ClusterId>, kind: EventKind) {
-        let now = self.now;
-        if let Some(log) = &mut self.events {
-            log.push(now, seq, cluster, kind);
-        }
+        self.log_at(self.now, seq, cluster, kind);
     }
 
     fn log_at(&mut self, cycle: u64, seq: u64, cluster: Option<ClusterId>, kind: EventKind) {
-        if let Some(log) = &mut self.events {
-            log.push(cycle, seq, cluster, kind);
+        if P::ENABLED {
+            self.probe.event(cycle, seq, cluster, kind);
         }
     }
 
@@ -827,7 +803,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         self.stats.cycles = self.now;
         self.stats.icache = self.icache.stats();
         self.stats.dcache = self.dcache.stats();
-        Ok(SimResult { stats: self.stats.clone(), events: self.events.take(), ff: self.ff })
+        Ok(SimResult { stats: self.stats.clone(), ff: self.ff })
     }
 
     /// Simulates one cycle, returning how many retire/wake/issue/
@@ -3003,12 +2979,15 @@ mod tests {
     }
 
     #[test]
-    fn event_log_is_recorded_when_enabled() {
-        let p = chain_program(3);
-        let res = run(ProcessorConfig::single_cluster_8way().with_events(), &p);
-        let events = res.events.expect("events enabled");
-        assert!(events.events().iter().any(|e| e.kind == EventKind::Retired));
-        assert!(events.events().iter().any(|e| e.kind == EventKind::MasterIssued));
+    fn event_log_records_through_the_probe() {
+        let (trace, _) = trace_program(&chain_program(3)).unwrap();
+        let mut log = crate::events::EventLog::new();
+        let res = Processor::new(ProcessorConfig::single_cluster_8way())
+            .run_trace_observed(&trace, &mut log)
+            .unwrap();
+        let retired = log.events().iter().filter(|e| e.kind == EventKind::Retired).count();
+        assert_eq!(retired as u64, res.stats.retired);
+        assert!(log.events().iter().any(|e| e.kind == EventKind::MasterIssued));
     }
 
     #[test]
@@ -3321,7 +3300,8 @@ mod tests {
         let p = b.finish().unwrap();
         let (trace, _) = trace_program(&p).unwrap();
         let cfg = ProcessorConfig::dual_cluster_8way();
-        let mut sim = Sim::new(&cfg, trace.as_slice());
+        let (mut probe, mut prof) = (NullProbe, NullHostProf);
+        let mut sim = Sim::new(&cfg, trace.as_slice(), &mut probe, &mut prof);
         let mut dispatched = 0;
         for _ in 0..100 {
             dispatched += sim.dispatch();
@@ -3365,7 +3345,8 @@ mod tests {
         let p = b.finish().unwrap();
         let (trace, _) = trace_program(&p).unwrap();
         let cfg = ProcessorConfig::single_cluster_8way();
-        let mut sim = Sim::new(&cfg, trace.as_slice());
+        let (mut probe, mut prof) = (NullProbe, NullHostProf);
+        let mut sim = Sim::new(&cfg, trace.as_slice(), &mut probe, &mut prof);
         for _ in 0..200 {
             sim.step().unwrap();
             if sim.window.iter().any(|d| matches!(d.master_done, Some(t) if t > sim.now)) {
@@ -3398,7 +3379,8 @@ mod tests {
         let p = b.finish().unwrap();
         let (trace, _) = trace_program(&p).unwrap();
         let cfg = ProcessorConfig::dual_cluster_8way();
-        let mut sim = Sim::new(&cfg, trace.as_slice());
+        let (mut probe, mut prof) = (NullProbe, NullHostProf);
+        let mut sim = Sim::new(&cfg, trace.as_slice(), &mut probe, &mut prof);
         // The first fetch group takes a cold icache miss; step cycles
         // until the whole group has dispatched.
         let mut dispatched = 0;

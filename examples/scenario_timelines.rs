@@ -5,7 +5,7 @@
 //! cargo run --example scenario_timelines
 //! ```
 
-use multicluster::core::{render_pipeline, PipeViewOptions, Processor, ProcessorConfig};
+use multicluster::core::{render_pipeline, EventLog, PipeViewOptions, Processor, ProcessorConfig};
 use multicluster::trace::vm::trace_program;
 use multicluster::workloads::scenarios;
 
@@ -16,9 +16,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{}", s.program.listing());
 
         let (trace, _) = trace_program(&s.program)?;
-        let result = Processor::new(ProcessorConfig::dual_cluster_8way().with_events())
-            .run_trace(&trace)?;
-        let events = result.events.expect("events enabled");
+        let mut events = EventLog::new();
+        let result = Processor::new(ProcessorConfig::dual_cluster_8way())
+            .run_trace_observed(&trace, &mut events)?;
         println!("timeline of the add (dynamic instruction #{}):", s.add_seq);
         println!("{}", events.timeline(s.add_seq));
         println!(

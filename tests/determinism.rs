@@ -2,7 +2,7 @@
 //! workload, scheduling it, and simulating it twice must give identical
 //! results, bit for bit.
 
-use multicluster::core::{Processor, ProcessorConfig};
+use multicluster::core::{EventLog, Processor, ProcessorConfig};
 use multicluster::isa::assign::RegisterAssignment;
 use multicluster::sched::{SchedulePipeline, SchedulerKind};
 use multicluster::trace::vm::trace_program;
@@ -53,8 +53,10 @@ fn event_logs_are_deterministic() {
     let assign = RegisterAssignment::even_odd_with_default_globals(2);
     let scheduled = SchedulePipeline::new(SchedulerKind::Local, &assign).run(&il).unwrap();
     let (trace, _) = trace_program(&scheduled.program).unwrap();
-    let cfg = ProcessorConfig::dual_cluster_8way().with_events();
-    let a = Processor::new(cfg.clone()).run_trace(&trace).unwrap();
-    let b = Processor::new(cfg).run_trace(&trace).unwrap();
-    assert_eq!(a.events, b.events);
+    let cfg = ProcessorConfig::dual_cluster_8way();
+    let (mut a, mut b) = (EventLog::new(), EventLog::new());
+    Processor::new(cfg.clone()).run_trace_observed(&trace, &mut a).unwrap();
+    Processor::new(cfg).run_trace_observed(&trace, &mut b).unwrap();
+    assert!(!a.events().is_empty());
+    assert_eq!(a, b);
 }

@@ -11,9 +11,14 @@
 //! cache misses, and back-edge branches for mispredictions, run on the
 //! single-cluster preset, the dual-cluster preset, and a tiny-buffer
 //! dual machine that forces replay exceptions.
+//!
+//! The same programs also feed a trace-derived oracle that shares no
+//! simulator code: an [`EventLog`] probe's `Retired` and `ExecDone`
+//! events are checked against nothing but the trace itself.
 
 use mcl_core::{
-    CheckLevel, CritPathProbe, FastForward, Probe, Processor, ProcessorConfig, SimResult,
+    CheckLevel, CritPathProbe, Event, EventKind, EventLog, FastForward, Probe, Processor,
+    ProcessorConfig, SimResult,
 };
 use mcl_isa::ArchReg;
 use mcl_testutil::Rng;
@@ -220,6 +225,56 @@ fn critpath_attribution_is_engine_invariant() {
                 .attribution(observed.stats.cycles)
                 .check_identity(observed.stats.cycles)
                 .unwrap_or_else(|e| panic!("seed {seed} preset {name}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn event_log_retires_the_trace_in_order() {
+    // Judged from the trace and the event log alone: every op retires
+    // exactly once, in trace order, at non-decreasing cycles, and no
+    // earlier than its final incarnation finished executing.
+    let presets = presets();
+    for (seed, packed) in random_traces(0..24) {
+        let len = packed.len();
+        for (name, cfg) in &presets {
+            let mut log = EventLog::new();
+            let result =
+                Processor::new(cfg.clone()).run_packed_observed(&packed, &mut log).expect("runs");
+            let retired: Vec<&Event> =
+                log.events().iter().filter(|e| e.kind == EventKind::Retired).collect();
+            let seqs: Vec<u64> = retired.iter().map(|e| e.seq).collect();
+            assert_eq!(
+                seqs,
+                (0..len as u64).collect::<Vec<_>>(),
+                "seed {seed} preset {name}: retire order is not trace order"
+            );
+            assert_eq!(
+                retired.len() as u64,
+                result.stats.retired,
+                "seed {seed} preset {name}: Retired events disagree with stats.retired"
+            );
+            assert!(
+                retired.windows(2).all(|w| w[0].cycle <= w[1].cycle),
+                "seed {seed} preset {name}: retire cycles went backwards"
+            );
+            // Squashed incarnations log their own ExecDone; the last one
+            // logged belongs to the incarnation that retired.
+            let mut last_done = vec![None; len];
+            for e in log.events().iter().filter(|e| e.kind == EventKind::ExecDone) {
+                last_done[e.seq as usize] = Some(e.cycle);
+            }
+            for e in &retired {
+                let done = last_done[e.seq as usize].unwrap_or_else(|| {
+                    panic!("seed {seed} preset {name}: #{} retired without ExecDone", e.seq)
+                });
+                assert!(
+                    done <= e.cycle,
+                    "seed {seed} preset {name}: #{} retired at {} before ExecDone at {done}",
+                    e.seq,
+                    e.cycle
+                );
+            }
         }
     }
 }

@@ -7,10 +7,11 @@ use multicluster::workloads::scenarios::{self, Scenario};
 
 fn run(s: &Scenario) -> (EventLog, [u64; 5]) {
     let (trace, _) = trace_program(&s.program).expect("trace");
-    let result = Processor::new(ProcessorConfig::dual_cluster_8way().with_events())
-        .run_trace(&trace)
+    let mut events = EventLog::new();
+    let result = Processor::new(ProcessorConfig::dual_cluster_8way())
+        .run_trace_observed(&trace, &mut events)
         .expect("simulates");
-    (result.events.expect("events"), result.stats.scenario)
+    (events, result.stats.scenario)
 }
 
 fn cycle_of(events: &EventLog, seq: u64, kind: EventKind) -> Option<u64> {
