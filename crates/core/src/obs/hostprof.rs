@@ -42,8 +42,9 @@ pub enum HostPhase {
     Issue,
     /// Fetch, rename, and in-order distribution.
     Dispatch,
-    /// The architectural invariant checker (zero unless `--check` is
-    /// active).
+    /// The architectural invariant checker, marked only on cycles that
+    /// validate (so zero unless `--check` is active, and a cycle with
+    /// the checker off pays no clock read for it).
     Checker,
     /// Dead-cycle fast-forward bookkeeping (jump-target computation and
     /// span charging; zero for a single-stepped run).

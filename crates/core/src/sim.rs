@@ -581,26 +581,32 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> {
     /// Per cluster: copies whose operands are all available, kept
     /// sorted by age — the issue pass walks exactly these. A sorted
     /// `Vec` beats a `BTreeSet` here: the set is small (a handful of
-    /// copies), is snapshotted every live cycle, and age-ordered
-    /// iteration is the hot operation.
+    /// copies), age-ordered iteration is the hot operation, and the
+    /// issue pass compacts it in place, dropping the copies it issued.
     ready: [Vec<ReadyEntry>; 2],
-    /// Per cluster: lazily-invalidated min-heap over copies still
-    /// waiting for operands (issue-disorder accounting).
-    waiting_min: [BinaryHeap<Reverse<(u64, u8)>>; 2],
+    /// Per cluster: every copy dispatched there as `(seq, action)`, in
+    /// dispatch order — so sorted by seq, since a cluster never holds
+    /// both copies of one op — with entries that issued or went ready
+    /// dropped lazily from the front (issue-disorder accounting).
+    /// Retirement trims entries older than the window and a replay
+    /// truncates the squashed ones off the back, so each queue holds at
+    /// most one entry per in-flight op.
+    waiting: [VecDeque<(u64, u8)>; 2],
     /// Copies whose last operand time became known, to enter the ready
     /// set at the scheduled cycle. Key `seq << 1 | action`, data the
     /// cluster index.
     future_ready: TimeQ,
     /// Scheduled scenario-five wake checks, keyed by seq.
     wake_events: TimeQ,
-    /// Scheduled completions for the progress check (lazily invalidated
-    /// on squash), as `(cycle, seq, DONE/WRITE)`. A plain lazy min-heap
-    /// rather than a [`TimeQ`]: the progress check only ever asks for
-    /// the earliest live entry, so O(1) peek beats the wheel's bitmap
-    /// walk, and tie order among same-cycle events is unobservable.
+    /// Scheduled completions for the progress check, as `(cycle, seq,
+    /// DONE/WRITE)`. Fired events are popped at the top of every cycle
+    /// (one `peek` when nothing fired), so the heap holds only future
+    /// events: at most two per in-flight op, plus stale ones from
+    /// squashed incarnations, which the consumers discard against the
+    /// live window. A min-heap rather than a [`TimeQ`]: the progress
+    /// check only ever asks for the earliest live entry, and tie order
+    /// among same-cycle events is unobservable.
     completions: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    /// Reusable snapshot of one cluster's ready set for the issue pass.
-    scratch_pass: Vec<ReadyEntry>,
     /// Reusable drain buffer for replay squashes.
     scratch_squash: Vec<DynInstr>,
     /// Reusable drain buffer for [`TimeQ::pop_due`] consumers.
@@ -703,11 +709,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             producers: [[None; 64]; 2],
             waiters: WaiterArena::new(),
             ready: [Vec::new(), Vec::new()],
-            waiting_min: [BinaryHeap::new(), BinaryHeap::new()],
+            waiting: [VecDeque::new(), VecDeque::new()],
             future_ready: TimeQ::new(),
             wake_events: TimeQ::new(),
             completions: BinaryHeap::new(),
-            scratch_pass: Vec::new(),
             scratch_squash: Vec::new(),
             scratch_events: Vec::new(),
             scratch_regs: Vec::new(),
@@ -820,6 +825,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         self.blocked_on_buffer = false;
         self.inject_faults();
 
+        self.drain_fired_completions();
         self.process_buffer_frees();
         self.process_branch_resolutions();
         if H::ENABLED {
@@ -859,9 +865,11 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         };
         if validate {
             self.validate_invariants(&issued_per)?;
+            if H::ENABLED {
+                self.hostprof.mark(HostPhase::Checker);
+            }
         }
         if H::ENABLED {
-            self.hostprof.mark(HostPhase::Checker);
             self.hostprof.live_cycle();
         }
         let activity = retired + woke + issued + dispatched;
@@ -1342,6 +1350,15 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             self.stats.retired += 1;
             retired += 1;
         }
+        if retired > 0 {
+            // Retired copies are dead waiting entries; trimming them
+            // keeps each waiting queue within the window.
+            for q in &mut self.waiting {
+                while q.front().is_some_and(|&(seq, _)| seq < self.base) {
+                    q.pop_front();
+                }
+            }
+        }
         retired
     }
 
@@ -1538,9 +1555,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     }
 
     /// The oldest copy for `cluster` still waiting on operands, if any
-    /// (lazily discarding entries that issued, squashed, or went ready).
+    /// (lazily discarding entries that issued, retired, or went ready;
+    /// once dead, an entry stays dead for its incarnation).
     fn min_waiting(&mut self, cluster: usize) -> Option<u64> {
-        while let Some(&Reverse((seq, action))) = self.waiting_min[cluster].peek() {
+        while let Some(&(seq, action)) = self.waiting[cluster].front() {
             let live = match self.win_index(seq) {
                 None => false,
                 Some(wi) => {
@@ -1559,7 +1577,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             if live {
                 return Some(seq);
             }
-            self.waiting_min[cluster].pop();
+            self.waiting[cluster].pop_front();
         }
         None
     }
@@ -1578,17 +1596,24 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         let mut blocked_in_pass = 0u64;
         let now = self.now;
 
-        // Snapshot the ready set (age order); deliveries during the
-        // pass only schedule *future* cycles, so the set itself gains
-        // nothing this cycle, and issued copies are removed directly.
-        let mut pass = std::mem::take(&mut self.scratch_pass);
-        pass.clear();
-        pass.extend_from_slice(&self.ready[ci]);
+        // Walk the ready set (age order) out of `self`, compacting the
+        // copies that stay in place: deliveries during the pass only
+        // schedule *future* cycles, so nothing touches the set until it
+        // is put back. `kept` trails the walk; an issued copy is simply
+        // not copied down.
+        let mut pass = std::mem::take(&mut self.ready[ci]);
+        let mut kept = 0;
+        let mut next = 0;
 
-        for &e in &pass {
+        while next < pass.len() {
             if budget.is_exhausted() {
                 break;
             }
+            let e = pass[next];
+            next += 1;
+            // The copy stays in the set unless it issues below.
+            pass[kept] = e;
+            kept += 1;
             enum Action {
                 Master,
                 SlaveForward,
@@ -1665,9 +1690,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             }
             issued += 1;
             self.stats.per_cluster_issued[ci] += 1;
-            if let Ok(pos) = self.ready[ci].binary_search_by_key(&(seq, act), ReadyEntry::key) {
-                self.ready[ci].remove(pos);
-            }
+            kept -= 1; // issued: not kept
             {
                 let d = &mut self.window[wi];
                 let st = if act == ACT_MASTER { &mut d.m_wait } else { &mut d.s_wait };
@@ -1680,7 +1703,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 Action::SlaveReceive => self.issue_slave_receive(wi, cluster),
             }
         }
-        self.scratch_pass = pass;
+        // Close the gap the issued copies left; copies after an
+        // exhausted budget were never evaluated and stay as they are.
+        pass.drain(kept..next);
+        self.ready[ci] = pass;
         issued
     }
 
@@ -2190,7 +2216,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                         s.index() as u64,
                     );
                 }
-                self.waiting_min[s.index()].push(Reverse((seq, ACT_SLAVE)));
+                self.waiting[s.index()].push_back((seq, ACT_SLAVE));
             }
             if m_wait.unknown == 0 {
                 self.future_ready.schedule(
@@ -2199,7 +2225,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                     dist.master.index() as u64,
                 );
             }
-            self.waiting_min[dist.master.index()].push(Reverse((seq, ACT_MASTER)));
+            self.waiting[dist.master.index()].push_back((seq, ACT_MASTER));
 
             // Branch prediction at queue-insert time (Section 4.2,
             // footnote 2).
@@ -2338,6 +2364,16 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             return Err(SimError::Wedged { cycle: now, oldest_seq: self.base });
         }
         Ok(())
+    }
+
+    /// Pops the completion events that fired at or before `now`. Every
+    /// consumer discards them anyway; popping them each cycle keeps the
+    /// heap bounded by the in-flight window instead of by the run.
+    fn drain_fired_completions(&mut self) {
+        let now = self.now;
+        while self.completions.peek().is_some_and(|&Reverse((cycle, _, _))| cycle <= now) {
+            self.completions.pop();
+        }
     }
 
     /// Whether some in-flight instruction completes (master done or
@@ -2699,14 +2735,18 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         if P::ENABLED {
             self.probe.replayed(now, from_seq, squash_count);
         }
-        // Squashed copies leave the ready sets; registrations *by*
-        // squashed consumers on surviving producers are dropped so a
-        // re-dispatched incarnation cannot see a double delivery. The
-        // future-ready/wake/completion heaps and the waiting heaps
-        // validate lazily against the live window instead.
+        // Squashed copies leave the ready sets and the waiting queues
+        // (both sorted by seq, so the squashed copies are a suffix);
+        // registrations *by* squashed consumers on surviving producers
+        // are dropped so a re-dispatched incarnation cannot see a double
+        // delivery. The future-ready/wake/completion queues validate
+        // lazily against the live window instead.
         for c in 0..2 {
             let keep = self.ready[c].partition_point(|e| e.seq < from_seq);
             self.ready[c].truncate(keep);
+            while self.waiting[c].back().is_some_and(|&(seq, _)| seq >= from_seq) {
+                self.waiting[c].pop_back();
+            }
         }
         for wi in 0..self.window.len() {
             let head = self.window[wi].w_done;
@@ -3368,6 +3408,56 @@ mod tests {
     }
 
     #[test]
+    fn event_queues_stay_within_the_window() {
+        // A long, high-IPC stream of independent ops, single-stepped:
+        // after every cycle the completion heap and the waiting queues
+        // hold at most what the in-flight window can account for, never
+        // an amount that grows with the length of the run.
+        let mut b = ProgramBuilder::<ArchReg>::new("independent-stream");
+        let i = ArchReg::int(20);
+        let body = b.new_block("body");
+        b.lda(i, 1200);
+        b.switch_to(body);
+        for r in 2..18u8 {
+            b.lda(ArchReg::int(r), i64::from(r));
+        }
+        b.subq_imm(i, i, 1);
+        b.bne(i, body);
+        let p = b.finish().unwrap();
+        let (trace, _) = trace_program(&p).unwrap();
+        assert!(trace.len() > 20_000, "{} ops", trace.len());
+        let cfg = ProcessorConfig::dual_cluster_8way();
+        let (mut probe, mut prof) = (NullProbe, NullHostProf);
+        let mut sim = Sim::new(&cfg, trace.as_slice(), &mut probe, &mut prof);
+        let mut peak_window = 0;
+        while sim.cursor < trace.len() || !sim.window.is_empty() {
+            sim.step().unwrap();
+            let window = sim.window.len();
+            peak_window = peak_window.max(window);
+            // At most a DONE and a WRITE event per in-flight op (no
+            // replay leaves stale events behind here).
+            assert!(
+                sim.completions.len() <= 2 * window,
+                "cycle {}: {} completion events for {window} in-flight ops",
+                sim.now,
+                sim.completions.len()
+            );
+            for (c, q) in sim.waiting.iter().enumerate() {
+                assert!(
+                    q.len() <= window,
+                    "cycle {}: cluster {c} waiting queue holds {} for {window} in-flight ops",
+                    sim.now,
+                    q.len()
+                );
+            }
+        }
+        assert_eq!(sim.stats.retired, trace.len() as u64);
+        assert_eq!(sim.stats.replays, 0);
+        assert!(sim.stats.retired > 4 * sim.now, "IPC {} / {}", sim.stats.retired, sim.now);
+        assert!(trace.len() > 50 * peak_window, "the window ({peak_window}) is far below the run");
+    }
+
+    #[test]
     fn replay_drains_window_and_filters_pending_predictor_updates() {
         // Four independent instructions on cluster 0, all dispatched in
         // one group; squashing from seq 2 must drain exactly the two
@@ -3403,6 +3493,8 @@ mod tests {
         assert_eq!(sim.window.len(), 2, "seqs 2 and 3 are drained");
         assert_eq!(sim.stats.replay_squashed, 2);
         assert_eq!(sim.cursor, 2, "fetch restarts at the squash point");
+        let waiting: Vec<u64> = sim.waiting[0].iter().map(|&(seq, _)| seq).collect();
+        assert_eq!(waiting, vec![0, 1], "squashed copies leave the waiting queue");
         let pending: Vec<u64> = sim.pending_bpred.iter().map(|e| e.key).collect();
         assert_eq!(pending, vec![1], "squashed branch updates are dropped");
     }

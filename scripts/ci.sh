@@ -12,11 +12,27 @@ cargo build --release
 echo "== lint: clippy =="
 cargo clippy --workspace -- -D warnings
 
-echo "== tier-1: tests (root package) =="
+echo "== tier-1: tests (every workspace crate, debug) =="
 cargo test -q
 
 echo "== workspace tests =="
 cargo test --release --workspace -q
+
+echo "== benchmark: perfbench tests and seed-0 digests =="
+# perfbench checks every simulation it runs against the seed-0 digest
+# table (perfbench/digests.txt), so a clean table2 and sweep run is the
+# byte-identity guard for all 84 of their simulations.
+cargo test --manifest-path perfbench/Cargo.toml
+for workload in table2 sweep; do
+    last="$(python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 5 --trace 0 | tail -n 1)"
+    case "$last" in
+        *'"correct": true,'*'"failed": 0,'*) echo "perfbench $workload OK" ;;
+        *)
+            echo "FAIL: perfbench $workload did not report correct with 0 failed: $last" >&2
+            exit 1
+            ;;
+    esac
+done
 
 echo "== smoke: parallel experiment driver =="
 smoke_dir="$(mktemp -d)"

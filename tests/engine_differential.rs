@@ -12,17 +12,22 @@
 //! single-cluster preset, the dual-cluster preset, and a tiny-buffer
 //! dual machine that forces replay exceptions.
 //!
-//! The same programs also feed a trace-derived oracle that shares no
+//! The same programs also feed trace-derived oracles that share no
 //! simulator code: an [`EventLog`] probe's `Retired` and `ExecDone`
-//! events are checked against nothing but the trace itself.
+//! events are checked against nothing but the trace itself, and its
+//! distribute/issue/squash events recount `stats.issue_disorder`.
+
+use std::collections::BTreeSet;
 
 use mcl_core::{
     CheckLevel, CritPathProbe, Event, EventKind, EventLog, FastForward, Probe, Processor,
     ProcessorConfig, SimResult,
 };
-use mcl_isa::ArchReg;
+use mcl_isa::{assign::RegisterAssignment, ArchReg};
+use mcl_sched::{SchedulePipeline, SchedulerKind};
 use mcl_testutil::Rng;
 use mcl_trace::{vm::trace_program, PackedTrace, Program, ProgramBuilder};
+use mcl_workloads::Benchmark;
 
 /// The single-stepped oracle: `ENABLED` keeps its default `true`, so the
 /// run single-steps, and every hook is a no-op.
@@ -277,4 +282,86 @@ fn event_log_retires_the_trace_in_order() {
             }
         }
     }
+}
+
+/// Issue disorder recounted from the event log alone: replay the log in
+/// order keeping, per cluster, the copies distributed there and not yet
+/// issued or squashed. An issue is out of order when an older copy is
+/// still pending in its cluster.
+fn disorder_from_log(log: &EventLog) -> u64 {
+    let mut pending: [BTreeSet<u64>; 2] = Default::default();
+    let mut disorder = 0;
+    for e in log.events() {
+        let cluster = || e.cluster.expect("distribute and issue events name a cluster").index();
+        match e.kind {
+            EventKind::Distributed => {
+                assert!(pending[cluster()].insert(e.seq), "#{} distributed twice", e.seq);
+            }
+            EventKind::MasterIssued | EventKind::SlaveIssued => {
+                let set = &mut pending[cluster()];
+                assert!(set.remove(&e.seq), "#{} issued without a pending copy", e.seq);
+                if set.first().is_some_and(|&oldest| oldest < e.seq) {
+                    disorder += 1;
+                }
+            }
+            EventKind::ReplaySquashed => {
+                for set in &mut pending {
+                    set.remove(&e.seq);
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(pending.iter().all(BTreeSet::is_empty), "copies never issued");
+    disorder
+}
+
+/// Runs `trace` with an event log and checks `stats.issue_disorder`
+/// against [`disorder_from_log`]; returns the stats.
+fn check_issue_disorder(what: &str, cfg: &ProcessorConfig, trace: &PackedTrace) -> SimResult {
+    let mut log = EventLog::new();
+    let result = Processor::new(cfg.clone()).run_packed_observed(trace, &mut log).expect("runs");
+    assert_eq!(
+        result.stats.issue_disorder,
+        disorder_from_log(&log),
+        "{what}: issue disorder disagrees with the event log"
+    );
+    result
+}
+
+#[test]
+fn issue_disorder_matches_the_event_log() {
+    let presets = presets();
+    let mut disorder = 0;
+    for (seed, packed) in random_traces(0..24) {
+        for (name, cfg) in &presets {
+            let what = format!("seed {seed} preset {name}");
+            disorder += check_issue_disorder(&what, cfg, &packed).stats.issue_disorder;
+        }
+    }
+    assert!(disorder > 0, "no random program ever issued out of order");
+
+    // The benchmarks' local schedules on one- and two-entry transfer
+    // buffers: transfer-buffer deadlocks replay often (446 times for
+    // ora on one entry), squashing copies still waiting on operands.
+    // su2cor and tomcatv bottom out at scale 1, about 58 k ops; a
+    // prefix keeps them near the others' 3-6 k ops and the debug build
+    // fast.
+    let assign = RegisterAssignment::even_odd_with_default_globals(2);
+    let mut replays = 0;
+    for bench in Benchmark::ALL {
+        let il = bench.build(bench.scaled(40));
+        let local = SchedulePipeline::new(SchedulerKind::Local, &assign).run(&il).expect("schedules");
+        let (mut ops, _) = trace_program(&local.program).expect("traces");
+        ops.truncate(8_000);
+        let packed = PackedTrace::from_ops(&ops);
+        for buffers in [1, 2] {
+            let mut cfg = ProcessorConfig::dual_cluster_8way();
+            cfg.operand_buffer = buffers;
+            cfg.result_buffer = buffers;
+            let what = format!("{bench} buffers {buffers}");
+            replays += check_issue_disorder(&what, &cfg, &packed).stats.replays;
+        }
+    }
+    assert!(replays > 0, "no benchmark replayed, so no squash was recounted");
 }
